@@ -15,8 +15,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import DomainError, EnumerationCapError
-from .partitions import CycleType, fixed_point_free_partitions, is_even, partitions
+from .errors import DomainError, EnumerationCapError, InvariantError
+from .partitions import CycleType, fixed_point_free_partitions, partitions
 
 DEFAULT_SPECTRUM_CAP = 45
 
@@ -53,7 +53,8 @@ class Spectrum:
         order = group_order(kind, n)
         for v in vals:
             # Lagrange: every class size divides the group order
-            assert v >= 1 and order % v == 0, f"{v} is not a class size of {kind}_{n}"
+            if v < 1 or order % v:
+                raise InvariantError(f"{v} is not a class size of {kind}_{n}")
         return cls(vals, kind, n, label)
 
     def __len__(self) -> int:
@@ -72,19 +73,47 @@ def group_order(kind: GroupKind, n: int) -> int:
     return math.factorial(n) // 2 if n >= 2 else 1
 
 
-def _core(ct: CycleType) -> tuple[int, int]:
-    """(moved points, centralizer factor) over the parts of length >= 2.
+def _core(ct: CycleType) -> tuple[int, int, bool, bool]:
+    """(moved points, centralizer factor, even, odd-distinct) over the parts of length >= 2.
 
     The factor is prod(k^m * m!) restricted to k >= 2; length-1 parts are
-    fixed points and belong with the padding.
+    fixed points and belong with the padding. The type is even when it has
+    an even number of even-length cycles, and odd-distinct when its moved
+    cycles all have odd, pairwise distinct lengths.
     """
     c = 0
     z = 1
+    even_cycles = 0
+    aod = True
     for k, m in ct.parts:
         if k >= 2:
             c += k * m
             z *= k**m * math.factorial(m)
-    return c, z
+            if k % 2 == 0:
+                even_cycles += m
+                aod = False
+            elif m > 1:
+                aod = False
+    return c, z, even_cycles % 2 == 0, aod
+
+
+def _sizes(kind: GroupKind, n: int, c: int, z: int, even: bool, aod: bool) -> tuple[int, ...]:
+    """Class sizes in V_n of a ``_core`` (c, z, even, aod) padded by n - c fixed points.
+
+    The Sym_n class has n!/((n-c)! * z) elements. In Alt_n (n >= 2) an odd
+    type has no class, giving (). The Sym_n class splits into two equal
+    Alt_n classes exactly when the padded type has all parts odd and
+    pairwise distinct, i.e. the core is odd-distinct and there is at most
+    one fixed point; then both halves are returned.
+    """
+    alt = kind is GroupKind.ALT and n >= 2
+    if alt and not even:
+        return ()
+    # n! / ((n-c)! * z) computed as C(n, c) * (c!/z) to keep intermediates small
+    s = math.comb(n, c) * (math.factorial(c) // z)
+    if alt and aod and n - c <= 1:
+        return (s // 2, s // 2)
+    return (s,)
 
 
 def centralizer_order_sym(ct: CycleType, n: int) -> int:
@@ -96,50 +125,22 @@ def centralizer_order_sym(ct: CycleType, n: int) -> int:
     """
     if ct.support > n:
         raise DomainError(f"cycle type covers {ct.support} points, exceeding degree {n}")
-    c, z = _core(ct)
+    c, z, _, _ = _core(ct)
     return math.factorial(n - c) * z
-
-
-def _sym_class_size(ct: CycleType, n: int) -> int:
-    # n! / ((n-c)! * z) computed as C(n, c) * (c!/z) to keep intermediates small
-    c, z = _core(ct)
-    return math.comb(n, c) * (math.factorial(c) // z)
-
-
-def _splits_in_alt(ct: CycleType, n: int) -> bool:
-    """True when the Sym_n class of ct falls apart into two Alt_n classes.
-
-    Criterion: the padded cycle type has all parts odd and pairwise
-    distinct, i.e. at most one fixed point and a squarefree odd core.
-    """
-    if n < 2:
-        return False
-    c = 0
-    for k, m in ct.parts:
-        if k >= 2:
-            if k % 2 == 0 or m > 1:
-                return False
-            c += k * m
-    return n - c <= 1
 
 
 def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
     """Class size(s) in V_n of elements with cycle type ct padded by fixed points.
 
-    For Sym_n this is a single value n!/z. For Alt_n the type must be even;
-    the Sym class splits into two equal Alt classes exactly when the padded
-    type has all parts odd and pairwise distinct, giving two entries.
+    One entry, or two equal entries for a Sym class that splits in Alt_n
+    (the rule is in ``_sizes``). An odd type in Alt_n raises DomainError.
     """
     if ct.support > n:
         raise DomainError(f"cycle type covers {ct.support} points, exceeding degree {n}")
-    s = _sym_class_size(ct, n)
-    if kind is GroupKind.SYM or n < 2:
-        return [s]
-    if not is_even(ct):
+    sizes = _sizes(kind, n, *_core(ct))
+    if not sizes:
         raise DomainError(f"cycle type {ct} is odd, not in Alt_{n}")
-    if _splits_in_alt(ct, n):
-        return [s // 2, s // 2]
-    return [s]
+    return list(sizes)
 
 
 def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) -> Spectrum:
@@ -156,44 +157,25 @@ def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) ->
             f"full spectrum at n={n} enumerates p({n}) cycle types; "
             f"pass cap={n} (or cap=None) to override the default cap of {cap}"
         )
-    values: list[int] = []
-    for ct in partitions(n):
-        if kind is GroupKind.ALT and n >= 2 and not is_even(ct):
-            continue
-        values.extend(class_size(kind, n, ct))
+    values = [s for ct in partitions(n) for s in _sizes(kind, n, *_core(ct))]
     return Spectrum.build(values, kind, n, "full")
 
 
 @lru_cache(maxsize=None)
 def _fpf_profile(m: int) -> tuple[tuple[CycleType, int, bool, bool], ...]:
     """Per fixed-point-free type of support m: (type, z factor, even, odd-distinct)."""
-    out = []
-    for ct in fixed_point_free_partitions(m):
-        _, z = _core(ct)
-        aod = all(k % 2 == 1 and mult == 1 for k, mult in ct.parts)
-        out.append((ct, z, is_even(ct), aod))
-    return tuple(out)
+    return tuple((ct, *_core(ct)[1:]) for ct in fixed_point_free_partitions(m))
 
 
 def moved_class_sizes(kind: GroupKind, i: int) -> Spectrum:
     """Class sizes in V_i of elements that move all i points.
 
-    Empty for i = 1; for Alt only even types are admissible and splitting
-    applies (a fixed-point-free type has at most zero fixed points, so the
-    odd-distinct criterion can fire).
+    Empty for i = 1; for Alt only even types are admissible, and a type
+    with no fixed points splits as ``_sizes`` states.
     """
     if i < 0:
         raise DomainError("moved_class_sizes() needs i >= 0")
-    fact = math.factorial(i)
-    values: list[int] = []
-    for ct, z, even, aod in _fpf_profile(i):
-        if kind is GroupKind.ALT and i >= 2:
-            if not even:
-                continue
-            s = fact // z
-            values.append(s // 2 if aod else s)
-        else:
-            values.append(fact // z)
+    values = [s for _, z, even, aod in _fpf_profile(i) for s in _sizes(kind, i, i, z, even, aod)]
     return Spectrum.build(values, kind, i, "moved")
 
 
@@ -206,12 +188,8 @@ def phi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
     if not (2 * t > n and t <= n):
         raise DomainError(f"phi_set needs n/2 < t <= n, got n={n}, t={t}")
     t_cycle = CycleType(((t, 1),))
-    values: list[int] = []
-    for rest in partitions(n - t):
-        full = rest.combine(t_cycle)
-        if kind is GroupKind.ALT and n >= 2 and not is_even(full):
-            continue
-        values.extend(class_size(kind, n, full))
+    cores = (_core(rest.combine(t_cycle)) for rest in partitions(n - t))
+    values = [s for core in cores for s in _sizes(kind, n, *core)]
     return Spectrum.build(values, kind, n, f"phi(t={t})")
 
 
@@ -221,8 +199,8 @@ def psi_members(
     """(class size, fixed-point-free cycle type) pairs behind psi_set.
 
     Supports m run over 2 <= m <= n - t (optionally truncated by
-    support_cap). Split Alt classes yield their common half size once per
-    class, with the same type annotation.
+    support_cap). A class that splits in Alt_n (see ``_sizes``) yields
+    its common half size once per class, with the same type annotation.
     """
     if t < 0 or t > n:
         raise DomainError(f"psi needs 0 <= t <= n, got n={n}, t={t}")
@@ -230,17 +208,8 @@ def psi_members(
     if support_cap is not None:
         hi = min(hi, support_cap)
     for m in range(2, hi + 1):
-        choose = math.comb(n, m)
-        fact = math.factorial(m)
         for ct, z, even, aod in _fpf_profile(m):
-            if kind is GroupKind.ALT and not even:
-                continue
-            s = choose * (fact // z)
-            if kind is GroupKind.ALT and n >= 2 and n - m <= 1 and aod:
-                half = s // 2
-                yield half, ct
-                yield half, ct
-            else:
+            for s in _sizes(kind, n, m, z, even, aod):
                 yield s, ct
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 
 VERTICES = "vertices"
 EDGES = "edges"
@@ -64,7 +64,8 @@ def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
         at = parent[at]
     chain.reverse()
     # 2h1 <= h2 <= ... forces the chain top to be at least 2^(len-1)
-    assert height <= vals[-1].bit_length(), "doubling bound violated"
+    if height > vals[-1].bit_length():
+        raise InvariantError("doubling bound violated")
     return height, tuple(chain)
 
 

@@ -10,3 +10,11 @@ class EnumerationCapError(DomainError):
 
     Pass an explicit cap override to force the computation.
     """
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed, so the implementation is wrong.
+
+    Raised explicitly rather than through ``assert``, which ``python -O``
+    strips.
+    """

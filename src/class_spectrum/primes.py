@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 
 SEGMENT_SIZE = 1 << 20
 
@@ -185,7 +185,8 @@ def bound_report(x: int, table: PrimalityTable | None = None) -> BoundReport:
     lower = CHEBYSHEV_LOWER * x / math.log(x)
     upper = CHEBYSHEV_UPPER * x / math.log(x)
     p = table.prev_prime(x)
-    assert p is not None
+    if p is None:
+        raise InvariantError(f"no prime <= {x}")
     gap = x - p
     return BoundReport(
         x=x,

@@ -14,6 +14,7 @@ floating-point diagnostics in :mod:`class_spectrum.primes`.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from .classes import GroupKind, moved_class_sizes, psi_members
 from .divgraph import EDGES, VERTICES, longest_chain
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .partitions import CycleType
 from .primes import PrimalityTable, factorial_ratio, shared_table
 
@@ -55,7 +56,7 @@ REFERENCE_CHAIN_BOUNDS = {
 }
 
 
-class ChainBoundViolation(RuntimeError):
+class ChainBoundViolation(InvariantError):
     """The directly computed chain height exceeded the summed per-support bound.
 
     That inequality is a theorem about the construction, so tripping it
@@ -87,7 +88,8 @@ def check_omega_lemma(n: int, table: PrimalityTable | None = None) -> OmegaCheck
     if table is None or table.limit < n:
         table = shared_table(n)
     p = table.prev_prime(n)
-    assert p is not None
+    if p is None:
+        raise InvariantError(f"no prime <= {n}")
     count = table.count(n) - table.count(n // 2)
     ratio = factorial_ratio(n, p)
     return OmegaCheck(
@@ -112,7 +114,8 @@ def omega_sweep(start: int, stop: int, table: PrimalityTable | None = None) -> O
     """Run check_omega_lemma for every n in [start, stop]; collect failures.
 
     Prime counts and the running n!/p! product are maintained
-    incrementally, so a sweep to 10^6 stays in linear time.
+    incrementally, so a sweep to 10^6 stays in linear time; each failing n
+    is then re-checked by check_omega_lemma, which builds its record.
     """
     if start < 3 or stop < start:
         raise DomainError("omega_sweep() needs 3 <= start <= stop")
@@ -137,16 +140,7 @@ def omega_sweep(start: int, stop: int, table: PrimalityTable | None = None) -> O
                 pi_half += 1
         count = pi_n - pi_half
         if not (1 << count) > ratio:
-            failures.append(
-                OmegaCheck(
-                    n=n,
-                    p=p,
-                    omega_count=count,
-                    ratio_bits=ratio.bit_length(),
-                    pow2_bits=count + 1,
-                    holds=False,
-                )
-            )
+            failures.append(check_omega_lemma(n, table))
     return OmegaSweep(start=start, stop=stop, checked=stop - start + 1, failures=tuple(failures))
 
 
@@ -201,7 +195,8 @@ def select_r(n: int, table: PrimalityTable | None = None) -> int | None:
     if table is None or table.limit < n:
         table = shared_table(n)
     p = table.prev_prime(n)
-    assert p is not None
+    if p is None:
+        raise InvariantError(f"no prime <= {n}")
     lo = (p + 1) // 2 + 1  # smallest r with 2r >= p + 2
     hi = n // 2
     if lo > hi:
@@ -272,7 +267,8 @@ def check_case(
     if table is None or table.limit < n:
         table = shared_table(n)
     p = table.prev_prime(n)
-    assert p is not None
+    if p is None:
+        raise InvariantError(f"no prime <= {n}")
     omega_count = table.count(n) - table.count(n // 2)
 
     candidates: list[tuple[str, int | None, int]] = [(STRATEGY_DIRECT, None, p)]
@@ -424,7 +420,8 @@ def scan_range(
     """Run check_case over [start, stop] x kinds, optionally in parallel.
 
     The primality table and the per-support chain heights are built before
-    any fan-out so forked workers inherit them read-only. Certificates are
+    any fan-out so forked workers inherit them read-only. The pool never
+    holds more workers than there are tasks or CPUs. Certificates are
     sorted by (n, kind); the aggregate does not depend on scheduling.
     """
     if not 23 <= start <= stop:
@@ -434,7 +431,8 @@ def scan_range(
     max_m = 0
     for n in range(start, stop + 1):
         p = table.prev_prime(n)
-        assert p is not None
+        if p is None:
+            raise InvariantError(f"no prime <= {n}")
         max_m = max(max_m, n - p)
     max_m = min(max_m, support_cap)
     for kind in kinds:
@@ -442,14 +440,15 @@ def scan_range(
             _moved_heights(kind, i)
 
     tasks = [(n, kind.value, support_cap) for n in range(start, stop + 1) for kind in kinds]
-    if jobs <= 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         certificates = [_scan_task(task) for task in tasks]
     else:
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-forking platforms
             context = multiprocessing.get_context()
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             certificates = list(pool.map(_scan_task, tasks, chunksize=4))
     certificates.sort(key=lambda cert: (cert.n, cert.kind.value))
     return ScanReport(

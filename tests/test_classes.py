@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import class_spectrum
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +16,7 @@ from class_spectrum import (
     GroupKind,
     centralizer_order_sym,
     class_size,
+    fixed_point_free_partitions,
     group_order,
     is_even,
     moved_class_sizes,
@@ -259,3 +265,57 @@ def test_class_size_divides_group_order(kind, n, data):
     order = group_order(kind, n)
     for size in class_size(kind, n, lam):
         assert order % size == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_entry_points_agree_with_class_size(kind):
+    # psi_members annotates certificate witnesses with cycle types, so each
+    # yielded size must be a class size of its type, and a type must yield
+    # exactly the entries class_size gives it: two halves for a split class
+    split_fixed_points = set()
+    for n in range(1, 13):
+
+        def admissible(lam):
+            return kind is SYM or n < 2 or is_even(lam)
+
+        yielded: dict[CycleType, list[int]] = {}
+        for size, lam in psi_members(kind, n, 0):
+            assert size in class_size(kind, n, lam)
+            yielded.setdefault(lam, []).append(size)
+        for m in range(2, n + 1):
+            for lam in fixed_point_free_partitions(m):
+                expected = class_size(kind, n, lam) if admissible(lam) else []
+                assert yielded.pop(lam, []) == expected, (n, lam)
+                if len(expected) == 2:
+                    split_fixed_points.add(n - m)
+        assert not yielded
+        moved = fixed_point_free_partitions(n)
+        assert set(moved_class_sizes(kind, n).values) == {
+            s for lam in moved if admissible(lam) for s in class_size(kind, n, lam)
+        }
+        assert set(spectrum(kind, n).values) == {
+            s for lam in partitions(n) if admissible(lam) for s in class_size(kind, n, lam)
+        }
+    assert split_fixed_points == (set() if kind is SYM else {0, 1})
+
+
+def test_lagrange_check_survives_optimized_mode():
+    # python -O strips assert statements; the invariant must still raise
+    code = (
+        "from class_spectrum import GroupKind, Spectrum\n"
+        "from class_spectrum.errors import InvariantError\n"
+        "assert False, 'asserts are live'\n"
+        "try:\n"
+        "    Spectrum.build((4,), GroupKind.SYM, 3, 'bad')\n"
+        "except InvariantError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(class_spectrum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from class_spectrum import verify
 from class_spectrum import (
     EDGES,
     FAIL,
@@ -208,6 +209,34 @@ def test_scan_parallel_matches_serial():
         da.pop("elapsed")
         db.pop("elapsed")
         assert da == db
+
+
+@pytest.mark.parametrize("cpus, expected", [(64, [4]), (2, [2]), (None, [])])
+def test_scan_pool_capped_by_tasks_and_cpus(monkeypatch, cpus, expected):
+    # 23..24 x {sym, alt} is 4 tasks; a pool never gets more workers than
+    # tasks or CPUs, and a one-worker pool falls back to the serial loop
+    sizes = []
+
+    class SerialPool:
+        """Stand-in for ProcessPoolExecutor that records its size and maps in-process."""
+
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    report = scan_range(23, 24, jobs=5000)
+    assert sizes == expected
+    assert report.summary_dict() == scan_range(23, 24, jobs=1).summary_dict()
 
 
 def test_scan_summary_has_no_timing_fields():
