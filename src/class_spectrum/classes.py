@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Iterable, Iterator
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, EnumerationCapError, InvariantError
 from .partitions import CycleType, fixed_point_free_partitions, partitions
@@ -97,20 +97,28 @@ def _core(ct: CycleType) -> tuple[int, int, bool, bool]:
     return c, z, even_cycles % 2 == 0, aod
 
 
-def _sizes(kind: GroupKind, n: int, c: int, z: int, even: bool, aod: bool) -> tuple[int, ...]:
+def _placements(n: int) -> Callable[[int], int]:
+    """c -> n!/(n-c)!, the ordered placements of c moved points, each computed once."""
+    return lru_cache(maxsize=None)(partial(math.perm, n))
+
+
+def _sizes(
+    kind: GroupKind, n: int, placed: Callable[[int], int], c: int, z: int, even: bool, aod: bool
+) -> tuple[int, ...]:
     """Class sizes in V_n of a ``_core`` (c, z, even, aod) padded by n - c fixed points.
 
-    The Sym_n class has n!/((n-c)! * z) elements. In Alt_n (n >= 2) an odd
-    type has no class, giving (). The Sym_n class splits into two equal
-    Alt_n classes exactly when the padded type has all parts odd and
-    pairwise distinct, i.e. the core is odd-distinct and there is at most
-    one fixed point; then both halves are returned.
+    ``placed`` is ``_placements(n)``, shared by every type of one walk so
+    the per-support factor is computed once. The Sym_n class has
+    n!/((n-c)! * z) elements. In Alt_n (n >= 2) an odd type has no class,
+    giving (). The Sym_n class splits into two equal Alt_n classes exactly
+    when the padded type has all parts odd and pairwise distinct, i.e. the
+    core is odd-distinct and there is at most one fixed point; then both
+    halves are returned.
     """
     alt = kind is GroupKind.ALT and n >= 2
     if alt and not even:
         return ()
-    # n! / ((n-c)! * z) computed as C(n, c) * (c!/z) to keep intermediates small
-    s = math.comb(n, c) * (math.factorial(c) // z)
+    s = placed(c) // z
     if alt and aod and n - c <= 1:
         return (s // 2, s // 2)
     return (s,)
@@ -137,7 +145,7 @@ def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
     """
     if ct.support > n:
         raise DomainError(f"cycle type covers {ct.support} points, exceeding degree {n}")
-    sizes = _sizes(kind, n, *_core(ct))
+    sizes = _sizes(kind, n, _placements(n), *_core(ct))
     if not sizes:
         raise DomainError(f"cycle type {ct} is odd, not in Alt_{n}")
     return list(sizes)
@@ -157,7 +165,8 @@ def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) ->
             f"full spectrum at n={n} enumerates p({n}) cycle types; "
             f"pass cap={n} (or cap=None) to override the default cap of {cap}"
         )
-    values = [s for ct in partitions(n) for s in _sizes(kind, n, *_core(ct))]
+    placed = _placements(n)
+    values = [s for ct in partitions(n) for s in _sizes(kind, n, placed, *_core(ct))]
     return Spectrum.build(values, kind, n, "full")
 
 
@@ -175,7 +184,8 @@ def moved_class_sizes(kind: GroupKind, i: int) -> Spectrum:
     """
     if i < 0:
         raise DomainError("moved_class_sizes() needs i >= 0")
-    values = [s for _, z, even, aod in _fpf_profile(i) for s in _sizes(kind, i, i, z, even, aod)]
+    placed = _placements(i)
+    values = [s for _, z, even, aod in _fpf_profile(i) for s in _sizes(kind, i, placed, i, z, even, aod)]
     return Spectrum.build(values, kind, i, "moved")
 
 
@@ -189,7 +199,8 @@ def phi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
         raise DomainError(f"phi_set needs n/2 < t <= n, got n={n}, t={t}")
     t_cycle = CycleType(((t, 1),))
     cores = (_core(rest.combine(t_cycle)) for rest in partitions(n - t))
-    values = [s for core in cores for s in _sizes(kind, n, *core)]
+    placed = _placements(n)
+    values = [s for core in cores for s in _sizes(kind, n, placed, *core)]
     return Spectrum.build(values, kind, n, f"phi(t={t})")
 
 
@@ -207,9 +218,10 @@ def psi_members(
     hi = n - t
     if support_cap is not None:
         hi = min(hi, support_cap)
+    placed = _placements(n)
     for m in range(2, hi + 1):
         for ct, z, even, aod in _fpf_profile(m):
-            for s in _sizes(kind, n, m, z, even, aod):
+            for s in _sizes(kind, n, placed, m, z, even, aod):
                 yield s, ct
 
 

@@ -2,12 +2,17 @@
 
 Vertices are the distinct input values; there is an edge a -> b when a
 divides b and a != b. Divisibility implies <=, so ascending value order is
-a topological order and the longest path falls to a quadratic DP.
+a topological order, and the longest path is a level-indexed DP: level L
+holds the values whose longest chain ending there has L + 1 elements. A
+value's level is one above the highest level holding one of its
+divisors, so every level is an antichain, and the levels, as many as the
+height, cover the input (Mirsky's dual of Dilworth's theorem).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import indexOf
 from typing import Iterable
 
 from .errors import DomainError, InvariantError
@@ -34,34 +39,41 @@ class ChainResult:
 def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """(vertex count, witness) of a maximal divisibility chain.
 
-    Deterministic: among equally long chains the DP keeps the one whose
-    elements appear earliest in ascending value order.
+    Values are taken in ascending order, and each level lists its values
+    in ascending order. A value scans the levels from the top down and
+    stops at the first level that holds one of its divisors; it joins the
+    level above (level 0 when no level does). Each level is an antichain,
+    since a value never shares a level with one of its divisors.
+
+    Ties are broken deterministically: a value's chain parent is the
+    smallest of its divisors whose longest chain is longest, and the
+    witness ends at the smallest value on the top level.
     """
     vals = sorted(set(values))
     if vals and vals[0] < 1:
         raise DomainError("divisibility chains need values >= 1")
-    k = len(vals)
-    if k == 0:
+    levels: list[list[int]] = []
+    parent: dict[int, int] = {}
+    for v in vals:
+        remainder = v.__mod__
+        depth = len(levels)
+        while depth:
+            below = levels[depth - 1]
+            try:
+                # the remainder loop runs in C; ValueError means no divisor here
+                parent[v] = below[indexOf(map(remainder, below), 0)]
+                break
+            except ValueError:
+                depth -= 1
+        if depth == len(levels):
+            levels.append([])
+        levels[depth].append(v)
+    height = len(levels)
+    if not height:
         return 0, ()
-    dp = [1] * k
-    parent = [-1] * k
-    for i in range(1, k):
-        vi = vals[i]
-        best = 1
-        best_j = -1
-        for j in range(i):
-            # cheap length test first, big-integer mod only when it could help
-            if dp[j] >= best and vi % vals[j] == 0:
-                best = dp[j] + 1
-                best_j = j
-        dp[i] = best
-        parent[i] = best_j
-    height = max(dp)
-    at = dp.index(height)
-    chain: list[int] = []
-    while at != -1:
-        chain.append(vals[at])
-        at = parent[at]
+    chain = [levels[-1][0]]
+    while chain[-1] in parent:
+        chain.append(parent[chain[-1]])
     chain.reverse()
     # 2h1 <= h2 <= ... forces the chain top to be at least 2^(len-1)
     if height > vals[-1].bit_length():

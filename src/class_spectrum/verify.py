@@ -125,15 +125,16 @@ def omega_sweep(start: int, stop: int, table: PrimalityTable | None = None) -> O
     pi_n = table.count(start - 1)
     half = (start - 1) // 2
     pi_half = table.count(half)
-    p = table.prev_prime(start - 1) or 0
-    ratio = factorial_ratio(start - 1, p) if p else 0
+    p = table.prev_prime(start - 1)
+    if p is None:
+        raise InvariantError(f"no prime <= {start - 1}")
+    ratio = factorial_ratio(start - 1, p)
     for n in range(start, stop + 1):
         if table.is_prime(n):
             pi_n += 1
-            p = n
             ratio = 1
         else:
-            ratio = ratio * n if p else 0
+            ratio *= n
         if n // 2 != half:
             half = n // 2
             if table.is_prime(half):
@@ -421,8 +422,11 @@ def scan_range(
 
     The primality table and the per-support chain heights are built before
     any fan-out so forked workers inherit them read-only. The pool never
-    holds more workers than there are tasks or CPUs. Certificates are
-    sorted by (n, kind); the aggregate does not depend on scheduling.
+    holds more workers than there are tasks or CPUs. It takes the tasks
+    in chunks of four from the highest degree down, so the costliest
+    degrees start first instead of arriving together in the last chunk.
+    Certificates are sorted by (n, kind); the aggregate does not depend on
+    scheduling.
     """
     if not 23 <= start <= stop:
         raise DomainError("scan_range() needs 23 <= start <= stop")
@@ -449,7 +453,7 @@ def scan_range(
         except ValueError:  # pragma: no cover - non-forking platforms
             context = multiprocessing.get_context()
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            certificates = list(pool.map(_scan_task, tasks, chunksize=4))
+            certificates = list(pool.map(_scan_task, tasks[::-1], chunksize=4))
     certificates.sort(key=lambda cert: (cert.n, cert.kind.value))
     return ScanReport(
         start=start,

@@ -2,7 +2,8 @@
 
 Nothing here reuses the package's formulas: partition numbers come from
 the pentagonal-number recurrence, conjugacy data from explicit orbits of
-permutation tuples, and chain heights from subset enumeration.
+permutation tuples, chain heights from subset enumeration, and chain
+witnesses (tie-breaks included) from the quadratic longest-path DP.
 """
 
 from __future__ import annotations
@@ -147,3 +148,31 @@ def brute_chain_height(values) -> int:
         if all(sub[i + 1] % sub[i] == 0 for i in range(len(sub) - 1)):
             best = max(best, len(sub))
     return best
+
+
+def quadratic_longest_chain(values) -> tuple[int, tuple[int, ...]]:
+    """(height, witness) by the quadratic DP over ascending values.
+
+    Each value's parent is the earliest divisor with the greatest DP
+    value, and the witness ends at the earliest value of greatest height.
+    """
+    vals = sorted(set(values))
+    k = len(vals)
+    if k == 0:
+        return 0, ()
+    dp = [1] * k
+    parent = [-1] * k
+    for i in range(1, k):
+        best = 1
+        for j in range(i):
+            if dp[j] >= best and vals[i] % vals[j] == 0:
+                best = dp[j] + 1
+                parent[i] = j
+        dp[i] = best
+    height = max(dp)
+    at = dp.index(height)
+    chain = []
+    while at != -1:
+        chain.append(vals[at])
+        at = parent[at]
+    return height, tuple(reversed(chain))

@@ -2,11 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from class_spectrum import EDGES, VERTICES, ChainResult, DomainError, height, longest_chain
-from oracles import brute_chain_height
+from class_spectrum import EDGES, VERTICES, ChainResult, DomainError, GroupKind, height, longest_chain
+from class_spectrum.classes import moved_class_sizes
+from oracles import brute_chain_height, quadratic_longest_chain
 
 values_small = st.frozensets(st.integers(min_value=1, max_value=10**6), max_size=12)
 values_any = st.frozensets(st.integers(min_value=1, max_value=10**30), max_size=40)
+# products of small powers of 2, 3, 5, 7: many divisors and many equally long chains
+smooth = st.builds(
+    lambda a, b, c, d: 2**a * 3**b * 5**c * 7**d,
+    st.integers(0, 5),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+values_tied = st.lists(smooth, max_size=40)
 
 
 def test_examples():
@@ -80,3 +90,16 @@ def test_matches_subset_enumeration(values):
     h, witness = longest_chain(values)
     assert h == brute_chain_height(values)
     assert len(witness) == h
+
+
+@settings(max_examples=1000, deadline=None)
+@given(values_tied)
+def test_matches_quadratic_dp_with_ties(values):
+    assert longest_chain(values) == quadratic_longest_chain(values)
+
+
+@pytest.mark.parametrize("kind", [GroupKind.SYM, GroupKind.ALT])
+def test_matches_quadratic_dp_on_moved_class_sizes(kind):
+    for i in range(21):
+        values = moved_class_sizes(kind, i).values
+        assert longest_chain(values) == quadratic_longest_chain(values), i

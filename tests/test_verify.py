@@ -214,8 +214,10 @@ def test_scan_parallel_matches_serial():
 @pytest.mark.parametrize("cpus, expected", [(64, [4]), (2, [2]), (None, [])])
 def test_scan_pool_capped_by_tasks_and_cpus(monkeypatch, cpus, expected):
     # 23..24 x {sym, alt} is 4 tasks; a pool never gets more workers than
-    # tasks or CPUs, and a one-worker pool falls back to the serial loop
+    # tasks or CPUs, and a one-worker pool falls back to the serial loop.
+    # A pool is handed the costliest (highest) degrees first.
     sizes = []
+    degrees = []
 
     class SerialPool:
         """Stand-in for ProcessPoolExecutor that records its size and maps in-process."""
@@ -230,12 +232,14 @@ def test_scan_pool_capped_by_tasks_and_cpus(monkeypatch, cpus, expected):
             return False
 
         def map(self, fn, items, chunksize=1):
+            degrees.extend(n for n, _, _ in items)
             return map(fn, items)
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     report = scan_range(23, 24, jobs=5000)
     assert sizes == expected
+    assert degrees == ([24, 24, 23, 23] if expected else [])
     assert report.summary_dict() == scan_range(23, 24, jobs=1).summary_dict()
 
 
