@@ -2,7 +2,9 @@
 
 Exit codes: 0 when every verdict is PASS (or the command has no verdict),
 1 when at least one FAIL or INDETERMINATE was produced, 2 on usage or
-internal errors. Big integers are always serialized as decimal strings.
+internal errors. JSON output goes through verify.jsonable: integers inside
+lists (class sizes, witness chains, prime sets) are decimal strings, and
+scalar fields stay JSON numbers.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ from .primes import bound_report, factorial_ratio, omega_set
 from .verify import (
     CSV_FIELDS,
     DEFAULT_SUPPORT_CAP,
+    FAIL,
     PASS,
     certificate_csv_row,
     check_case,
     check_omega_lemma,
     hz_table,
+    jsonable,
     scan_range,
 )
 
@@ -69,19 +73,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, default=DEFAULT_SPECTRUM_CAP, help="full-spectrum degree cap")
     sp.add_argument("--cache-dir", type=Path, default=None)
     sp.add_argument("--no-cache", action="store_true")
+    sp.set_defaults(run=_cmd_spectrum)
 
     hp = sub.add_parser("height", help="divisibility-chain height of integers from a file")
     hp.add_argument("--input", required=True, type=Path, help="one decimal integer per line")
     hp.add_argument("--convention", choices=list(CONVENTIONS), default=VERTICES)
+    hp.set_defaults(run=_cmd_height)
 
     op = sub.add_parser("omega", help="half-interval primes and the 2^|omega| vs n!/p! check")
     op.add_argument("--n", required=True, type=int)
     op.add_argument("--format", choices=["json", "text"], default="text")
+    op.set_defaults(run=_cmd_omega)
 
     zp = sub.add_parser("hz-table", help="summed chain heights of fixed-point-free class sizes")
     zp.add_argument("--max-m", required=True, type=int)
     zp.add_argument("--kinds", type=_parse_kinds, default=(GroupKind.SYM, GroupKind.ALT))
     zp.add_argument("--format", choices=["json", "csv", "text"], default="text")
+    zp.set_defaults(run=_cmd_hz_table)
 
     vp = sub.add_parser("verify", help="certificate-emitting case checks")
     vsub = vp.add_subparsers(dest="verify_command", required=True)
@@ -91,6 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--kind", required=True, type=GroupKind.parse)
     vc.add_argument("--support-cap", type=int, default=DEFAULT_SUPPORT_CAP)
     vc.add_argument("--format", choices=["json", "text"], default="text")
+    vc.set_defaults(run=_cmd_verify_case)
 
     vs = vsub.add_parser("scan", help="certificates for a degree range")
     vs.add_argument("--from", dest="start", required=True, type=int)
@@ -99,10 +108,12 @@ def _build_parser() -> argparse.ArgumentParser:
     vs.add_argument("--jobs", type=int, default=1)
     vs.add_argument("--out", type=Path, default=None, help="directory for summary.json / certificates.csv")
     vs.add_argument("--support-cap", type=int, default=DEFAULT_SUPPORT_CAP)
+    vs.set_defaults(run=_cmd_verify_scan)
 
     bp = sub.add_parser("bounds", help="pi(x) envelope and prime-gap diagnostics")
     bp.add_argument("--x", required=True, type=int)
     bp.add_argument("--format", choices=["json", "text"], default="text")
+    bp.set_defaults(run=_cmd_bounds)
 
     return parser
 
@@ -133,7 +144,7 @@ def _cmd_spectrum(args) -> int:
     payload = cache.get(key)
     if payload is None:
         family = _compute_family(args)
-        payload = {"values": [str(v) for v in family.values]}
+        payload = {"values": jsonable(family.values)}
         cache.put(key, payload)
     values = payload["values"]
     if args.format == "json":
@@ -163,21 +174,10 @@ def _cmd_height(args) -> int:
 def _cmd_omega(args) -> int:
     data = omega_set(args.n)
     check = check_omega_lemma(args.n)
-    verdict = PASS if check.holds else "FAIL"
+    verdict = PASS if check.holds else FAIL
     if args.format == "json":
-        print(
-            dump_json(
-                {
-                    "n": data.n,
-                    "omega": [str(t) for t in data.omega],
-                    "p": data.p,
-                    "count": data.count,
-                    "ratio_bits": check.ratio_bits,
-                    "pow2_bits": check.pow2_bits,
-                    "verdict": verdict,
-                }
-            )
-        )
+        record = jsonable(data) | {"ratio_bits": check.ratio_bits, "pow2_bits": check.pow2_bits, "verdict": verdict}
+        print(dump_json(record))
     else:
         print(f"n: {data.n}")
         print(f"p: {data.p}")
@@ -207,18 +207,7 @@ def _cmd_hz_table(args) -> int:
             + [",".join(exceeds) or "-"]
         )
     if args.format == "json":
-        print(
-            dump_json(
-                [
-                    {
-                        "m": row.m,
-                        "reference_bound": row.reference_bound,
-                        "computed": {f"{k.value}/{c}": v for (k, c), v in row.computed.items()},
-                    }
-                    for row in rows
-                ]
-            )
-        )
+        print(dump_json(jsonable(rows)))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(headers)
@@ -274,35 +263,23 @@ def _cmd_verify_scan(args) -> int:
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "summary.json").write_text(dump_json(summary, compact=False) + "\n")
-        with (args.out / "certificates.csv").open("w", newline="") as handle:
-            writer = csv.writer(handle)
+        with (
+            (args.out / "certificates.csv").open("w", newline="") as csv_handle,
+            (args.out / "certificates.jsonl").open("w") as jsonl_handle,
+        ):
+            writer = csv.writer(csv_handle)
             writer.writerow(CSV_FIELDS)
             for cert in report.certificates:
-                writer.writerow(certificate_csv_row(cert))
-        with (args.out / "certificates.jsonl").open("w") as handle:
-            for cert in report.certificates:
-                handle.write(dump_json(cert.to_json_dict()) + "\n")
+                record = jsonable(cert)
+                writer.writerow(certificate_csv_row(record))
+                jsonl_handle.write(dump_json(record) + "\n")
     return 0 if report.all_passed else 1
 
 
 def _cmd_bounds(args) -> int:
     report = bound_report(args.x)
     if args.format == "json":
-        print(
-            dump_json(
-                {
-                    "x": report.x,
-                    "pi_exact": report.pi_exact,
-                    "lower": report.lower,
-                    "upper": report.upper,
-                    "lower_holds": report.lower_holds,
-                    "upper_holds": report.upper_holds,
-                    "p": report.p,
-                    "gap": report.gap,
-                    "gap_bound_holds": report.gap_bound_holds,
-                }
-            )
-        )
+        print(dump_json(jsonable(report)))
     else:
         print(f"x: {report.x}")
         print(f"pi_exact: {report.pi_exact}")
@@ -319,22 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        if args.command == "height":
-            return _cmd_height(args)
-        if args.command == "omega":
-            return _cmd_omega(args)
-        if args.command == "hz-table":
-            return _cmd_hz_table(args)
-        if args.command == "verify":
-            if args.verify_command == "case":
-                return _cmd_verify_case(args)
-            return _cmd_verify_scan(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        parser.error(f"unknown command {args.command!r}")
-        return 2
+        return args.run(args)
     except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -214,9 +214,14 @@ class SweepResult:
 
 
 def chebyshev_sweep(lo: int = 10, hi: int = 100_000, table: PrimalityTable | None = None) -> SweepResult:
-    """Evaluate the envelope and gap bound for every integer x in (lo, hi]."""
+    """Evaluate the envelope and gap bound for every integer x in (lo, hi].
+
+    hi == lo is the empty interval; hi < lo raises DomainError.
+    """
     if lo < 10:
         raise DomainError("sweep domain starts above 10")
+    if hi < lo:
+        raise DomainError("chebyshev_sweep() needs hi >= lo")
     if table is None or table.limit < hi:
         table = shared_table(hi)
     lower_bad: list[int] = []

@@ -18,7 +18,8 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
@@ -54,6 +55,32 @@ REFERENCE_CHAIN_BOUNDS = {
     13: 30,
     18: 69,
 }
+
+
+def jsonable(obj):
+    """The JSON form of a result: every integer inside a list is a decimal string.
+
+    Scalars (None, bool, int, float, str) stay as they are, so scalar
+    fields remain JSON numbers. A tuple or list becomes a list whose int
+    elements are decimal strings, since those hold the big integers (class
+    sizes, witness chains, prime sets). A CycleType becomes its part list
+    of ints, an Enum its value and a dataclass a dict over its fields. A
+    dict keeps its keys, except that a tuple key is joined with "/".
+    Anything else raises TypeError.
+    """
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, (tuple, list)):
+        return [str(v) if type(v) is int else jsonable(v) for v in obj]
+    if isinstance(obj, CycleType):
+        return list(obj.part_list())
+    if isinstance(obj, Enum):
+        return obj.value
+    if is_dataclass(obj):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {"/".join(map(str, k)) if isinstance(k, tuple) else k: jsonable(v) for k, v in obj.items()}
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 class ChainBoundViolation(InvariantError):
@@ -229,23 +256,7 @@ class Certificate:
     reason: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind.value,
-            "strategy": self.strategy,
-            "r": self.r,
-            "t_star": self.t_star,
-            "support_m": self.support_m,
-            "omega_count": self.omega_count,
-            "h_value": self.h_value,
-            "h_value_edges": self.h_value_edges,
-            "h_sum_bound": self.h_sum_bound,
-            "verdict": self.verdict,
-            "witness_chain": [str(v) for v in self.witness_chain],
-            "witness_cycle_types": [list(ct.part_list()) for ct in self.witness_cycle_types],
-            "elapsed": self.elapsed,
-            "reason": self.reason,
-        }
+        return jsonable(self)
 
 
 def check_case(
@@ -259,8 +270,11 @@ def check_case(
     The direct strategy takes t* = p; when select_r finds an r, t* = 2r is
     also tried. Each candidate builds the small-support class-size family,
     measures its chain height under both conventions, and records the
-    summed per-support bound. The strategy with the smallest vertex height
-    wins (ties prefer the direct one, which always exists).
+    summed per-support bound. The first candidate evaluated is kept unless
+    a later one has a strictly smaller vertex height, so a tie keeps the
+    direct strategy, which is tried first. When support_cap skips every
+    candidate the certificate is INDETERMINATE: direct strategy, t* = p,
+    height 0, an empty witness, and the skip reasons as its reason.
     """
     if n < 23:
         raise DomainError("check_case() covers degrees n >= 23")
@@ -277,7 +291,9 @@ def check_case(
     if r is not None:
         candidates.append((STRATEGY_R_TRICK, r, 2 * r))
 
-    evaluated = []
+    # (h_value, strategy, r, t*, h_sum, witness, members), INDETERMINATE until a candidate is evaluated
+    verdict = INDETERMINATE
+    best = (0, STRATEGY_DIRECT, None, p, 0, (), {})
     skipped = []
     for strategy, r_value, t_star in candidates:
         m = n - t_star
@@ -294,37 +310,18 @@ def check_case(
                 f"n={n} kind={kind} {strategy}: direct height {h_value} exceeds "
                 f"summed bound {h_sum}; the chain decomposition argument is violated"
             )
-        evaluated.append((h_value, strategy, r_value, t_star, m, h_sum, witness, members))
+        if verdict == INDETERMINATE or h_value < best[0]:
+            verdict = PASS if omega_count > h_value else FAIL
+            best = (h_value, strategy, r_value, t_star, h_sum, witness, members)
 
-    if not evaluated:
-        return Certificate(
-            n=n,
-            kind=kind,
-            strategy=STRATEGY_DIRECT,
-            r=None,
-            t_star=p,
-            support_m=n - p,
-            omega_count=omega_count,
-            h_value=0,
-            h_value_edges=0,
-            h_sum_bound=0,
-            verdict=INDETERMINATE,
-            witness_chain=(),
-            witness_cycle_types=(),
-            elapsed=time.perf_counter() - started,
-            reason="; ".join(skipped),
-        )
-
-    evaluated.sort(key=lambda e: (e[0], 0 if e[1] == STRATEGY_DIRECT else 1))
-    h_value, strategy, r_value, t_star, m, h_sum, witness, members = evaluated[0]
-    verdict = PASS if omega_count > min(h_value, h_sum) else FAIL
+    h_value, strategy, r_value, t_star, h_sum, witness, members = best
     return Certificate(
         n=n,
         kind=kind,
         strategy=strategy,
         r=r_value,
         t_star=t_star,
-        support_m=m,
+        support_m=n - t_star,
         omega_count=omega_count,
         h_value=h_value,
         h_value_edges=max(h_value - 1, 0),
@@ -333,7 +330,12 @@ def check_case(
         witness_chain=witness,
         witness_cycle_types=tuple(members[v] for v in witness),
         elapsed=time.perf_counter() - started,
+        reason="; ".join(skipped) if verdict == INDETERMINATE else None,
     )
+
+
+# The certificate fields a scan summary lists for each non-PASS certificate.
+PROBLEM_FIELDS = ("n", "kind", "verdict", "strategy", "h_value", "omega_count", "witness_chain", "reason")
 
 
 @dataclass
@@ -357,20 +359,7 @@ class ScanReport:
 
     def summary_dict(self) -> dict:
         """Scheduling-independent summary: no elapsed fields anywhere."""
-        problems = [
-            {
-                "n": cert.n,
-                "kind": cert.kind.value,
-                "verdict": cert.verdict,
-                "strategy": cert.strategy,
-                "h_value": cert.h_value,
-                "omega_count": cert.omega_count,
-                "witness_chain": [str(v) for v in cert.witness_chain],
-                "reason": cert.reason,
-            }
-            for cert in self.certificates
-            if cert.verdict != PASS
-        ]
+        problems = [jsonable(cert) for cert in self.certificates if cert.verdict != PASS]
         return {
             "from": self.start,
             "to": self.stop,
@@ -378,7 +367,7 @@ class ScanReport:
             "support_cap": self.support_cap,
             "total": len(self.certificates),
             "verdicts": self.counts,
-            "problems": problems,
+            "problems": [{key: problem[key] for key in PROBLEM_FIELDS} for problem in problems],
         }
 
 
@@ -400,10 +389,10 @@ CSV_FIELDS = (
 )
 
 
-def certificate_csv_row(cert: Certificate) -> list[str]:
-    d = cert.to_json_dict()
-    d["witness_chain"] = "|".join(d["witness_chain"])
-    return ["" if d[k] is None else str(d[k]) for k in CSV_FIELDS]
+def certificate_csv_row(record: dict) -> list[str]:
+    """The CSV row of a certificate's JSON record; the witness chain is joined with "|"."""
+    cells = record | {"witness_chain": "|".join(record["witness_chain"])}
+    return ["" if cells[k] is None else str(cells[k]) for k in CSV_FIELDS]
 
 
 def _scan_task(args: tuple[int, str, int]) -> Certificate:

@@ -1,6 +1,9 @@
 import json
+import re
 import subprocess
 import sys
+
+import pytest
 
 from class_spectrum.cli import dump_json, main
 
@@ -178,6 +181,97 @@ def test_bounds(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--x", "100", "--format", "json")
     data = json.loads(out)
     assert data["pi_exact"] == 25 and data["lower_holds"] and not data["upper_holds"]
+
+
+# Exact stdout (summary.json for the scan) of each JSON-emitting command, with
+# "elapsed" masked to 0. Integers inside lists are decimal strings, scalar
+# fields are JSON numbers, cycle types are lists of ints and hz-table keys
+# are "kind/convention".
+SCAN_SUMMARY_GOLDEN = """\
+{
+  "from": 1360,
+  "kinds": [
+    "sym"
+  ],
+  "problems": [
+    {
+      "h_value": 0,
+      "kind": "sym",
+      "n": 1360,
+      "omega_count": 94,
+      "reason": "direct-psi-p: residual support 33 exceeds cap 5; r-trick: residual support 6 exceeds cap 5",
+      "strategy": "direct-psi-p",
+      "verdict": "INDETERMINATE",
+      "witness_chain": []
+    }
+  ],
+  "support_cap": 5,
+  "to": 1360,
+  "total": 1,
+  "verdicts": {
+    "FAIL": 0,
+    "INDETERMINATE": 1,
+    "PASS": 0
+  }
+}
+"""
+
+GOLDEN_JSON = [
+    pytest.param(
+        ["verify", "case", "--n", "1360", "--kind", "sym", "--support-cap", "10", "--format", "json"],
+        0,
+        (
+            '{"elapsed":0,"h_sum_bound":7,"h_value":4,"h_value_edges":3,"kind":"sym","n":1360,'
+            '"omega_count":94,"r":677,"reason":null,"strategy":"r-trick","support_m":6,"t_star":1354,'
+            '"verdict":"PASS","witness_chain":["924120","851486940360","130375422873221400",'
+            '"782252537239328400"],"witness_cycle_types":[[2],[4],[2,2,2],[4,2]]}' "\n"
+        ),
+        id="verify-case",
+    ),
+    pytest.param(
+        ["omega", "--n", "30", "--format", "json"],
+        1,
+        '{"count":4,"n":30,"omega":["17","19","23","29"],"p":29,"pow2_bits":5,"ratio_bits":5,"verdict":"FAIL"}\n',
+        id="omega",
+    ),
+    pytest.param(
+        ["bounds", "--x", "126", "--format", "json"],
+        0,
+        (
+            '{"gap":13,"gap_bound_holds":false,"lower":23.994879172200474,"lower_holds":true,"p":113,'
+            '"pi_exact":30,"upper":28.81469746411914,"upper_holds":false,"x":126}' "\n"
+        ),
+        id="bounds",
+    ),
+    pytest.param(
+        ["hz-table", "--max-m", "4", "--format", "json"],
+        0,
+        (
+            '[{"computed":{"alt/edges":0,"alt/vertices":0,"sym/edges":0,"sym/vertices":1},"m":2,'
+            '"reference_bound":1},{"computed":{"alt/edges":0,"alt/vertices":1,"sym/edges":0,'
+            '"sym/vertices":2},"m":3,"reference_bound":2},{"computed":{"alt/edges":0,'
+            '"alt/vertices":2,"sym/edges":1,"sym/vertices":4},"m":4,"reference_bound":3}]' "\n"
+        ),
+        id="hz-table",
+    ),
+    pytest.param(
+        ["verify", "scan", "--from", "1360", "--to", "1360", "--kinds", "sym", "--support-cap", "5", "--out"],
+        1,
+        SCAN_SUMMARY_GOLDEN,
+        id="scan-summary",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", GOLDEN_JSON)
+def test_json_output_matches_golden_bytes(capsys, tmp_path, argv, code, expected):
+    if argv[-1] == "--out":
+        argv = argv + [str(tmp_path)]
+    got, out, _ = run_cli(capsys, *argv)
+    if argv[-2] == "--out":
+        out = (tmp_path / "summary.json").read_text()
+    assert got == code
+    assert re.sub(r'"elapsed":[^,}]+', '"elapsed":0', out) == expected
 
 
 def test_usage_errors_exit_2(capsys):

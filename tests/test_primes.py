@@ -148,3 +148,11 @@ def test_sweep_quick():
     # gap gives 126 - 113 = 13 > 126^0.525 = 12.66..., exactly 13^40 > 126^21
     assert result.gap_violations == (126,)
     assert result.checked == 9990
+
+
+def test_sweep_rejects_reversed_interval():
+    with pytest.raises(DomainError):
+        chebyshev_sweep(100, 50)
+    empty = chebyshev_sweep(100, 100)
+    assert empty.checked == 0
+    assert empty.lower_violations == empty.upper_violations == empty.gap_violations == ()

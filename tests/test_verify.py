@@ -181,6 +181,18 @@ def test_check_case_indeterminate_when_cap_blocks_all_strategies():
     assert cert.verdict == INDETERMINATE
     assert cert.reason is not None and "exceeds cap" in cert.reason
     assert cert.witness_chain == ()
+    assert cert.strategy == verify.STRATEGY_DIRECT
+    assert cert.t_star == 1327 and cert.support_m == 33
+    assert cert.h_sum_bound == 0 and cert.h_value_edges == 0
+
+
+def test_check_case_takes_r_trick_when_cap_skips_direct():
+    cert = check_case(1360, SYM, support_cap=10)
+    assert cert.strategy == verify.STRATEGY_R_TRICK
+    assert cert.support_m == 6
+    assert cert.h_value == 4
+    assert cert.reason is None
+    assert cert.verdict == PASS
 
 
 def test_check_case_reruns_identical_except_elapsed():
