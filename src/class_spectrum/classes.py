@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, EnumerationCapError, InvariantError
-from .partitions import CycleType, fixed_point_free_partitions, partitions
+from .partitions import CycleType, fixed_point_free_partitions
 
 DEFAULT_SPECTRUM_CAP = 45
 
@@ -151,23 +151,72 @@ def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
     return list(sizes)
 
 
+def _core_states(m: int, flagged: bool) -> Iterator[tuple[int, int]]:
+    """(support c, state) for every distinct ``_core`` of a fixed-point-free type with c <= m.
+
+    Each state is one packed int, 4z + 2*even + odd-distinct. Without
+    ``flagged`` (Sym, whose sizes ignore the flags) both flag bits stay 0,
+    so states merge by z alone. The DP takes cycle lengths k = 2..m in
+    ascending order and extends every state of support c by j = 1, 2, ...
+    k-cycles: going from j - 1 to j multiplies z by k*j. Supports are taken
+    from the top down, so a state made for this k is not extended by k
+    again, and equal states merge before any size is divided out.
+    """
+    states: list[set[int]] = [set() for _ in range(m + 1)]
+    states[0].add(7 if flagged else 4)  # the empty type: z = 1, even, odd-distinct
+    for k in range(2, m + 1):
+        flip = _parity_flip(k, flagged)
+        for c in range(m - k, -1, -1):
+            for state in states[c]:
+                flags = state & 3
+                z4 = state - flags
+                single = _one_cycle_flags(flags, flip)
+                even_count = flags & 2  # two or more equal cycles are never odd-distinct
+                odd_count = even_count ^ flip
+                for j, d in enumerate(range(c + k, m + 1, k), 1):
+                    z4 *= k * j
+                    states[d].add(z4 | (single if j == 1 else odd_count if j % 2 else even_count))
+    return ((c, state) for c, layer in enumerate(states) for state in layer)
+
+
+def _parity_flip(k: int, flagged: bool) -> int:
+    """The parity bit a k-cycle toggles in a packed state: set for even k."""
+    return 2 if flagged and k % 2 == 0 else 0
+
+
+def _one_cycle_flags(flags: int, flip: int) -> int:
+    """Packed flags after adding one cycle of a length not yet in the type.
+
+    The parity toggles by ``flip``; the type stays odd-distinct only when
+    the new length is odd, i.e. when it does not flip the parity.
+    """
+    return (flags ^ flip) & (2 if flip else 3)
+
+
+def _state_sizes(kind: GroupKind, n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """Sizes in V_n of (support, packed state) pairs as ``_core_states`` yields them."""
+    placed = _placements(n)
+    for c, state in pairs:
+        yield from _sizes(kind, n, placed, c, state >> 2, bool(state & 2), bool(state & 1))
+
+
 def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) -> Spectrum:
     """The full class-size set N(V_n).
 
-    Enumerates one cycle type per partition of n, so the cost grows with
-    the partition number; degrees above ``cap`` are refused unless the
-    caller raises or disables the cap explicitly.
+    Every type of degree n is a fixed-point-free core of support c <= n
+    padded by fixed points, so the sizes are read from ``_core_states(n)``,
+    which merges types of equal core. Degrees above ``cap`` are refused
+    unless the caller raises the cap or disables it with cap=None.
     """
     if n < 1:
         raise DomainError("spectrum() needs n >= 1")
     if cap is not None and n > cap:
         raise EnumerationCapError(
-            f"full spectrum at n={n} enumerates p({n}) cycle types; "
-            f"pass cap={n} (or cap=None) to override the default cap of {cap}"
+            f"full spectrum at n={n} exceeds the degree cap {cap}; "
+            f"pass a cap of at least {n} (--cap {n}, or cap=None in the library) to compute it"
         )
-    placed = _placements(n)
-    values = [s for ct in partitions(n) for s in _sizes(kind, n, placed, *_core(ct))]
-    return Spectrum.build(values, kind, n, "full")
+    pairs = _core_states(n, kind is GroupKind.ALT)
+    return Spectrum.build(_state_sizes(kind, n, pairs), kind, n, "full")
 
 
 @lru_cache(maxsize=None)
@@ -197,11 +246,12 @@ def phi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
     """
     if not (2 * t > n and t <= n):
         raise DomainError(f"phi_set needs n/2 < t <= n, got n={n}, t={t}")
-    t_cycle = CycleType(((t, 1),))
-    cores = (_core(rest.combine(t_cycle)) for rest in partitions(n - t))
-    placed = _placements(n)
-    values = [s for core in cores for s in _sizes(kind, n, placed, *core)]
-    return Spectrum.build(values, kind, n, f"phi(t={t})")
+    pairs = _core_states(n - t, kind is GroupKind.ALT)
+    if t >= 2:
+        # t > n - t, so the t-cycle is the only cycle of its length
+        flip = _parity_flip(t, kind is GroupKind.ALT)
+        pairs = ((c + t, (state - (state & 3)) * t | _one_cycle_flags(state & 3, flip)) for c, state in pairs)
+    return Spectrum.build(_state_sizes(kind, n, pairs), kind, n, f"phi(t={t})")
 
 
 def psi_members(

@@ -137,7 +137,7 @@ def _cmd_spectrum(args) -> int:
         "family": args.family,
         "kind": args.kind.value,
         "n": args.n,
-        "t": args.t,
+        "t": args.t if args.family in ("phi", "psi") else None,
         "cap": args.cap if args.family == "full" else None,
         "version": __version__,
     }

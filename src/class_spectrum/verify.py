@@ -274,10 +274,13 @@ def check_case(
     a later one has a strictly smaller vertex height, so a tie keeps the
     direct strategy, which is tried first. When support_cap skips every
     candidate the certificate is INDETERMINATE: direct strategy, t* = p,
-    height 0, an empty witness, and the skip reasons as its reason.
+    height 0, an empty witness, and the skip reasons as its reason. A
+    negative support_cap raises DomainError.
     """
     if n < 23:
         raise DomainError("check_case() covers degrees n >= 23")
+    if support_cap < 0:
+        raise DomainError(f"check_case() needs support_cap >= 0, got {support_cap}")
     started = time.perf_counter()
     if table is None or table.limit < n:
         table = shared_table(n)
@@ -415,10 +418,14 @@ def scan_range(
     in chunks of four from the highest degree down, so the costliest
     degrees start first instead of arriving together in the last chunk.
     Certificates are sorted by (n, kind); the aggregate does not depend on
-    scheduling.
+    scheduling. A negative support_cap or jobs below 1 raises DomainError.
     """
     if not 23 <= start <= stop:
         raise DomainError("scan_range() needs 23 <= start <= stop")
+    if support_cap < 0:
+        raise DomainError(f"scan_range() needs support_cap >= 0, got {support_cap}")
+    if jobs < 1:
+        raise DomainError(f"scan_range() needs jobs >= 1, got {jobs}")
     kinds = tuple(kinds)
     table = shared_table(stop)
     max_m = 0

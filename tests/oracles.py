@@ -3,13 +3,18 @@
 Nothing here reuses the package's formulas: partition numbers come from
 the pentagonal-number recurrence, conjugacy data from explicit orbits of
 permutation tuples, chain heights from subset enumeration, and chain
-witnesses (tie-breaks included) from the quadratic longest-path DP.
+witnesses (tie-breaks included) from the quadratic longest-path DP. The
+one exception is the partition walk, which checks the class-size state
+DP behind ``spectrum`` and ``phi_set`` against one public ``class_size``
+call per partition.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations as iterperms
+
+from class_spectrum import CycleType, GroupKind, class_size, is_even, partitions
 
 
 @lru_cache(maxsize=None)
@@ -176,3 +181,23 @@ def quadratic_longest_chain(values) -> tuple[int, tuple[int, ...]]:
         chain.append(vals[at])
         at = parent[at]
     return height, tuple(reversed(chain))
+
+
+def _walk_sizes(kind: GroupKind, n: int, types) -> tuple[int, ...]:
+    """Sorted distinct class sizes in V_n of the given types; odd types have none in Alt_n."""
+    sizes: set[int] = set()
+    for ct in types:
+        if kind is GroupKind.SYM or n < 2 or is_even(ct):
+            sizes.update(class_size(kind, n, ct))
+    return tuple(sorted(sizes))
+
+
+def spectrum_by_partitions(kind: GroupKind, n: int) -> tuple[int, ...]:
+    """N(V_n) by walking every partition of n."""
+    return _walk_sizes(kind, n, partitions(n))
+
+
+def phi_by_partitions(kind: GroupKind, n: int, t: int) -> tuple[int, ...]:
+    """phi(t) by walking one t-cycle joined to every partition of n - t."""
+    t_cycle = CycleType(((t, 1),))
+    return _walk_sizes(kind, n, (rest.combine(t_cycle) for rest in partitions(n - t)))

@@ -28,7 +28,14 @@ from class_spectrum import (
     spectrum,
 )
 from class_spectrum.classes import _fpf_profile
-from oracles import class_sizes_where, conjugacy_classes, cycle_lengths, support
+from oracles import (
+    class_sizes_where,
+    conjugacy_classes,
+    cycle_lengths,
+    phi_by_partitions,
+    spectrum_by_partitions,
+    support,
+)
 
 SYM, ALT = GroupKind.SYM, GroupKind.ALT
 KINDS = (SYM, ALT)
@@ -104,9 +111,19 @@ def test_spectrum_examples():
 
 
 def test_spectrum_cap_refusal():
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError, match="exceeds the degree cap 5; pass a cap of at least 10"):
         spectrum(SYM, 10, cap=5)
+    with pytest.raises(EnumerationCapError, match="degree cap -1;"):
+        spectrum(SYM, 10, cap=-1)
     assert spectrum(SYM, 10, cap=None).values == spectrum(SYM, 10).values
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+@pytest.mark.parametrize("kind", KINDS)
+def test_state_dp_matches_partition_walk(kind, n):
+    assert spectrum(kind, n).values == spectrum_by_partitions(kind, n)
+    for t in range(n // 2 + 1, n + 1):
+        assert phi_set(kind, n, t).values == phi_by_partitions(kind, n, t), t
 
 
 def test_moved_class_sizes_examples():

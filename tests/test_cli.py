@@ -62,6 +62,19 @@ def test_spectrum_cache_identical_outputs(capsys, tmp_path):
     assert cold == warm == nocache
 
 
+def test_spectrum_cache_key_ignores_t_outside_phi_and_psi(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    base = ["spectrum", "--kind", "sym", "--n", "6", "--format", "json", "--cache-dir", str(cache_dir)]
+    with_t = ((), ("--t", "3"), ("--t", "4"))
+    for family in ("full", "moved"):
+        outputs = {run_cli(capsys, *base, "--family", family, *t)[1] for t in with_t}
+        assert len(outputs) == 1
+    assert len(list(cache_dir.glob("*.json"))) == 2
+    for t in ("4", "5"):
+        run_cli(capsys, *base, "--family", "phi", "--t", t)
+    assert len(list(cache_dir.glob("*.json"))) == 4
+
+
 def test_spectrum_cache_discards_corrupt_entry(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     args = ["spectrum", "--kind", "sym", "--n", "5", "--format", "json", "--cache-dir", str(cache_dir)]
@@ -276,9 +289,33 @@ def test_json_output_matches_golden_bytes(capsys, tmp_path, argv, code, expected
 
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "spectrum", "--kind", "frob", "--n", "4")[0] == 2
+    code, _, err = run_cli(capsys, "spectrum", "--kind", "sym", "--n", "50", "--cap", "-1", "--no-cache")
+    assert code == 2 and "exceeds the degree cap -1" in err
     assert run_cli(capsys, "omega", "--n", "2")[0] == 2
     assert run_cli(capsys, "verify", "case", "--n", "10", "--kind", "sym")[0] == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_verify_rejects_negative_support_cap(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", "case", "--n", "100", "--kind", "sym", "--support-cap", "-1")
+    assert code == 2 and out == ""
+    assert "support_cap >= 0" in err
+    code, out, err = run_cli(
+        capsys, "verify", "scan", "--from", "23", "--to", "24", "--support-cap", "-1", "--out", str(tmp_path)
+    )
+    assert code == 2 and out == ""
+    assert "support_cap >= 0" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_scan_rejects_jobs_below_one(capsys, tmp_path, jobs):
+    code, out, err = run_cli(
+        capsys, "verify", "scan", "--from", "23", "--to", "24", "--jobs", jobs, "--out", str(tmp_path)
+    )
+    assert code == 2 and out == ""
+    assert "jobs >= 1" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_console_script_entry_point():

@@ -174,6 +174,18 @@ def test_check_case_witness_is_rederivable_chain():
 def test_check_case_requires_scan_domain():
     with pytest.raises(DomainError):
         check_case(22, SYM)
+    with pytest.raises(DomainError, match="support_cap >= 0"):
+        check_case(100, SYM, support_cap=-1)
+
+
+def test_check_case_tightest_counterexample_degree():
+    # the smallest margin |omega| - h over the 202 degrees in (1361, 5778]
+    # where the threshold inequality fails
+    cert = check_case(1398, SYM)
+    assert cert.strategy == verify.STRATEGY_DIRECT
+    assert (cert.t_star, cert.support_m) == (1381, 17)
+    assert cert.h_value == 26 and cert.omega_count == 96
+    assert cert.verdict == PASS
 
 
 def test_check_case_indeterminate_when_cap_blocks_all_strategies():
@@ -265,6 +277,11 @@ def test_scan_range_validation():
         scan_range(22, 30)
     with pytest.raises(DomainError):
         scan_range(40, 30)
+    with pytest.raises(DomainError, match="support_cap >= 0"):
+        scan_range(23, 24, support_cap=-1)
+    for jobs in (0, -1):
+        with pytest.raises(DomainError, match="jobs >= 1"):
+            scan_range(23, 24, jobs=jobs)
 
 
 def test_reference_bounds_table():
