@@ -13,12 +13,16 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, EnumerationCapError, InvariantError
-from .partitions import CycleType, fixed_point_free_partitions
+from .partitions import CycleType
 
 DEFAULT_SPECTRUM_CAP = 45
+
+# the CycleType.parts of a type, (length, multiplicity) by decreasing length
+Parts = tuple[tuple[int, int], ...]
 
 
 class GroupKind(Enum):
@@ -151,23 +155,37 @@ def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
     return list(sizes)
 
 
-def _core_states(m: int, flagged: bool) -> Iterator[tuple[int, int]]:
-    """(support c, state) for every distinct ``_core`` of a fixed-point-free type with c <= m.
+def _core_states(m: int, flagged: bool, witness: bool = False) -> list[dict[int, Parts | None]]:
+    """Per support c <= m, every distinct ``_core`` of a fixed-point-free type of support c.
 
-    Each state is one packed int, 4z + 2*even + odd-distinct. Without
-    ``flagged`` (Sym, whose sizes ignore the flags) both flag bits stay 0,
-    so states merge by z alone. The DP takes cycle lengths k = 2..m in
-    ascending order and extends every state of support c by j = 1, 2, ...
-    k-cycles: going from j - 1 to j multiplies z by k*j. Supports are taken
-    from the top down, so a state made for this k is not extended by k
-    again, and equal states merge before any size is divided out.
+    Layer c maps each state, packed into one int as 4z + 2*even +
+    odd-distinct, to its witness: with ``witness``, the ``CycleType.parts``
+    of its first type in ``fixed_point_free_partitions`` order, else None.
+    Without ``flagged`` (Sym, whose sizes ignore the flags) both flag bits
+    stay 0, so states merge by z alone. The DP takes cycle lengths
+    k = 2..m in ascending order and extends every state of support c by
+    j = 1, 2, ... k-cycles: going from j - 1 to j multiplies z by k*j.
+    Supports are taken from the top down, so a state made for this k is
+    not extended by k again, and equal states merge before any size is
+    divided out.
+
+    Each write stores ((k, j),) + the source's witness, and a later write
+    to a state replaces an earlier one. That keeps the first type: by
+    induction a source's witness is its first type over parts below k,
+    and the writes to one state come with k ascending and, within one k,
+    from the top support down, i.e. with j ascending; so a later write
+    has a larger largest part or more copies of it, and comes earlier in
+    the partition order. Within one (k, j) step two sources never meet in
+    one state: z is multiplied and the parity toggled by the same amount
+    for both, and the odd-distinct bit is a function of z, because a
+    fixed-point-free type is odd-distinct exactly when its z is odd.
     """
-    states: list[set[int]] = [set() for _ in range(m + 1)]
-    states[0].add(7 if flagged else 4)  # the empty type: z = 1, even, odd-distinct
+    states: list[dict[int, Parts | None]] = [{} for _ in range(m + 1)]
+    states[0][7 if flagged else 4] = () if witness else None  # the empty type: z = 1, even, odd-distinct
     for k in range(2, m + 1):
         flip = _parity_flip(k, flagged)
         for c in range(m - k, -1, -1):
-            for state in states[c]:
+            for state, parts in states[c].items():
                 flags = state & 3
                 z4 = state - flags
                 single = _one_cycle_flags(flags, flip)
@@ -175,7 +193,13 @@ def _core_states(m: int, flagged: bool) -> Iterator[tuple[int, int]]:
                 odd_count = even_count ^ flip
                 for j, d in enumerate(range(c + k, m + 1, k), 1):
                     z4 *= k * j
-                    states[d].add(z4 | (single if j == 1 else odd_count if j % 2 else even_count))
+                    new = z4 | (single if j == 1 else odd_count if j % 2 else even_count)
+                    states[d][new] = ((k, j),) + parts if witness else None
+    return states
+
+
+def _state_pairs(states: list[dict[int, Parts | None]]) -> Iterator[tuple[int, int]]:
+    """(support, packed state) for every state of ``_core_states`` layers."""
     return ((c, state) for c, layer in enumerate(states) for state in layer)
 
 
@@ -215,26 +239,35 @@ def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) ->
             f"full spectrum at n={n} exceeds the degree cap {cap}; "
             f"pass a cap of at least {n} (--cap {n}, or cap=None in the library) to compute it"
         )
-    pairs = _core_states(n, kind is GroupKind.ALT)
+    pairs = _state_pairs(_core_states(n, kind is GroupKind.ALT))
     return Spectrum.build(_state_sizes(kind, n, pairs), kind, n, "full")
 
 
 @lru_cache(maxsize=None)
-def _fpf_profile(m: int) -> tuple[tuple[CycleType, int, bool, bool], ...]:
-    """Per fixed-point-free type of support m: (type, z factor, even, odd-distinct)."""
-    return tuple((ct, *_core(ct)[1:]) for ct in fixed_point_free_partitions(m))
+def _fpf_cores(m: int) -> tuple[tuple[CycleType, int, bool, bool], ...]:
+    """(first type, z factor, even, odd-distinct) per distinct core of support m.
+
+    One row per flagged state of ``_core_states(m)`` at support m, so both
+    kinds share the rows; they are sorted by first type in
+    ``fixed_point_free_partitions`` order, largest part first.
+    """
+    layer = _core_states(m, True, witness=True)[m]
+    rows = sorted(layer.items(), key=itemgetter(1), reverse=True)
+    return tuple((CycleType(parts), state >> 2, bool(state & 2), bool(state & 1)) for state, parts in rows)
 
 
 def moved_class_sizes(kind: GroupKind, i: int) -> Spectrum:
     """Class sizes in V_i of elements that move all i points.
 
-    Empty for i = 1; for Alt only even types are admissible, and a type
-    with no fixed points splits as ``_sizes`` states.
+    Read from the cores of support i in ``_fpf_cores``, one ``_sizes``
+    call per core. Empty for i = 1; for Alt only even types are
+    admissible, and a type with no fixed points splits as ``_sizes``
+    states.
     """
     if i < 0:
         raise DomainError("moved_class_sizes() needs i >= 0")
     placed = _placements(i)
-    values = [s for _, z, even, aod in _fpf_profile(i) for s in _sizes(kind, i, placed, i, z, even, aod)]
+    values = [s for _, z, even, aod in _fpf_cores(i) for s in _sizes(kind, i, placed, i, z, even, aod)]
     return Spectrum.build(values, kind, i, "moved")
 
 
@@ -246,7 +279,7 @@ def phi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
     """
     if not (2 * t > n and t <= n):
         raise DomainError(f"phi_set needs n/2 < t <= n, got n={n}, t={t}")
-    pairs = _core_states(n - t, kind is GroupKind.ALT)
+    pairs = _state_pairs(_core_states(n - t, kind is GroupKind.ALT))
     if t >= 2:
         # t > n - t, so the t-cycle is the only cycle of its length
         flip = _parity_flip(t, kind is GroupKind.ALT)
@@ -260,8 +293,13 @@ def psi_members(
     """(class size, fixed-point-free cycle type) pairs behind psi_set.
 
     Supports m run over 2 <= m <= n - t (optionally truncated by
-    support_cap). A class that splits in Alt_n (see ``_sizes``) yields
-    its common half size once per class, with the same type annotation.
+    support_cap). Each distinct core of support m (see ``_fpf_cores``)
+    yields its sizes once, annotated with its first type in
+    ``fixed_point_free_partitions`` order, and the cores come in the
+    order of those first types. So the first pair that yields a size
+    carries the first type, in support and partition order, with that
+    size. A class that splits in Alt_n (see ``_sizes``) yields its common
+    half size twice, once per class, with the same type annotation.
     """
     if t < 0 or t > n:
         raise DomainError(f"psi needs 0 <= t <= n, got n={n}, t={t}")
@@ -270,7 +308,7 @@ def psi_members(
         hi = min(hi, support_cap)
     placed = _placements(n)
     for m in range(2, hi + 1):
-        for ct, z, even, aod in _fpf_profile(m):
+        for ct, z, even, aod in _fpf_cores(m):
             for s in _sizes(kind, n, placed, m, z, even, aod):
                 yield s, ct
 

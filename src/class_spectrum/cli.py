@@ -145,7 +145,11 @@ def _cmd_spectrum(args) -> int:
     if payload is None:
         family = _compute_family(args)
         payload = {"values": jsonable(family.values)}
-        cache.put(key, payload)
+        try:
+            cache.put(key, payload)
+        except OSError as exc:
+            # the values are computed; an unwritable cache only costs the next call a recompute
+            print(f"warning: spectrum cache not written: {exc}", file=sys.stderr)
     values = payload["values"]
     if args.format == "json":
         print(dump_json({"values": values}))

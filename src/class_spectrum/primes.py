@@ -182,22 +182,39 @@ def bound_report(x: int, table: PrimalityTable | None = None) -> BoundReport:
     if table is None or table.limit < x:
         table = shared_table(x)
     pi_exact = table.count(x)
-    lower = CHEBYSHEV_LOWER * x / math.log(x)
-    upper = CHEBYSHEV_UPPER * x / math.log(x)
     p = table.prev_prime(x)
     if p is None:
         raise InvariantError(f"no prime <= {x}")
-    gap = x - p
+    lower, upper, lower_holds, upper_holds, gap_holds = _envelope(x, pi_exact, p)
     return BoundReport(
         x=x,
         pi_exact=pi_exact,
         lower=lower,
         upper=upper,
-        lower_holds=pi_exact > lower - REL_MARGIN * lower,
-        upper_holds=pi_exact < upper + REL_MARGIN * upper,
+        lower_holds=lower_holds,
+        upper_holds=upper_holds,
         p=p,
-        gap=gap,
-        gap_bound_holds=gap**GAP_EXPONENT_DEN < x**GAP_EXPONENT_NUM,
+        gap=x - p,
+        gap_bound_holds=gap_holds,
+    )
+
+
+def _envelope(x: int, pi: int, p: int) -> tuple[float, float, bool, bool, bool]:
+    """(lower, upper, lower holds, upper holds, gap bound holds) at x.
+
+    pi is pi(x) and p the largest prime <= x. The sides are evaluated as
+    c * x / log(x), left to right, and the flags are the ``BoundReport``
+    tests, so ``bound_report`` and ``chebyshev_sweep`` flag the same x.
+    """
+    log_x = math.log(x)
+    lower = CHEBYSHEV_LOWER * x / log_x
+    upper = CHEBYSHEV_UPPER * x / log_x
+    return (
+        lower,
+        upper,
+        pi > lower - REL_MARGIN * lower,
+        pi < upper + REL_MARGIN * upper,
+        (x - p) ** GAP_EXPONENT_DEN < x**GAP_EXPONENT_NUM,
     )
 
 
@@ -233,14 +250,12 @@ def chebyshev_sweep(lo: int = 10, hi: int = 100_000, table: PrimalityTable | Non
         if table.is_prime(x):
             pi += 1
             p = x
-        ratio = x / math.log(x)
-        lower = CHEBYSHEV_LOWER * ratio
-        upper = CHEBYSHEV_UPPER * ratio
-        if not pi > lower - REL_MARGIN * lower:
+        _, _, lower_holds, upper_holds, gap_holds = _envelope(x, pi, p)
+        if not lower_holds:
             lower_bad.append(x)
-        if not pi < upper + REL_MARGIN * upper:
+        if not upper_holds:
             upper_bad.append(x)
-        if not (x - p) ** GAP_EXPONENT_DEN < x**GAP_EXPONENT_NUM:
+        if not gap_holds:
             gap_bad.append(x)
     return SweepResult(
         lo=lo,

@@ -413,7 +413,9 @@ def scan_range(
     """Run check_case over [start, stop] x kinds, optionally in parallel.
 
     The primality table and the per-support chain heights are built before
-    any fan-out so forked workers inherit them read-only. The pool never
+    any fan-out so forked workers inherit them read-only; building the
+    heights also fills ``classes._fpf_cores``, the per-support core rows
+    that every ``psi_members`` call reads. The pool never
     holds more workers than there are tasks or CPUs. It takes the tasks
     in chunks of four from the highest degree down, so the costliest
     degrees start first instead of arriving together in the last chunk.

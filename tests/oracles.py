@@ -5,8 +5,8 @@ the pentagonal-number recurrence, conjugacy data from explicit orbits of
 permutation tuples, chain heights from subset enumeration, and chain
 witnesses (tie-breaks included) from the quadratic longest-path DP. The
 one exception is the partition walk, which checks the class-size state
-DP behind ``spectrum`` and ``phi_set`` against one public ``class_size``
-call per partition.
+DP behind ``spectrum``, ``phi_set`` and ``psi_members`` against one
+public ``class_size`` call per partition.
 """
 
 from __future__ import annotations
@@ -14,7 +14,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations as iterperms
 
-from class_spectrum import CycleType, GroupKind, class_size, is_even, partitions
+from class_spectrum import (
+    CycleType,
+    GroupKind,
+    class_size,
+    fixed_point_free_partitions,
+    is_even,
+    partitions,
+)
 
 
 @lru_cache(maxsize=None)
@@ -187,9 +194,14 @@ def _walk_sizes(kind: GroupKind, n: int, types) -> tuple[int, ...]:
     """Sorted distinct class sizes in V_n of the given types; odd types have none in Alt_n."""
     sizes: set[int] = set()
     for ct in types:
-        if kind is GroupKind.SYM or n < 2 or is_even(ct):
+        if admissible(kind, n, ct):
             sizes.update(class_size(kind, n, ct))
     return tuple(sorted(sizes))
+
+
+def admissible(kind: GroupKind, n: int, ct: CycleType) -> bool:
+    """Whether V_n has a class of type ct: always in Sym_n, only for even types in Alt_n (n >= 2)."""
+    return kind is GroupKind.SYM or n < 2 or is_even(ct)
 
 
 def spectrum_by_partitions(kind: GroupKind, n: int) -> tuple[int, ...]:
@@ -201,3 +213,18 @@ def phi_by_partitions(kind: GroupKind, n: int, t: int) -> tuple[int, ...]:
     """phi(t) by walking one t-cycle joined to every partition of n - t."""
     t_cycle = CycleType(((t, 1),))
     return _walk_sizes(kind, n, (rest.combine(t_cycle) for rest in partitions(n - t)))
+
+
+def psi_first_types(kind: GroupKind, n: int, t: int) -> dict[int, CycleType]:
+    """{class size: first type} over psi(t).
+
+    Walks supports 2..n - t in turn and each one's fixed-point-free
+    partitions in order, keeping the first type seen with each size.
+    """
+    first: dict[int, CycleType] = {}
+    for m in range(2, n - t + 1):
+        for ct in fixed_point_free_partitions(m):
+            if admissible(kind, n, ct):
+                for size in class_size(kind, n, ct):
+                    first.setdefault(size, ct)
+    return first

@@ -27,12 +27,13 @@ from class_spectrum import (
     psi_set,
     spectrum,
 )
-from class_spectrum.classes import _fpf_profile
 from oracles import (
+    admissible,
     class_sizes_where,
     conjugacy_classes,
     cycle_lengths,
     phi_by_partitions,
+    psi_first_types,
     spectrum_by_partitions,
     support,
 )
@@ -217,7 +218,8 @@ def test_psi_closed_form_equals_order_quotient_parameterization():
             while t + i < n - 1:
                 m = n - t - i
                 if m >= 2:
-                    for lam, z, _, _ in _fpf_profile(m):
+                    for lam in fixed_point_free_partitions(m):
+                        z = centralizer_order_sym(lam, m)
                         quotients.add(math.factorial(n) // (math.factorial(t + i) * z))
                 i += 1
             assert quotients == set(psi_set(SYM, n, t).values), (n, t)
@@ -284,36 +286,61 @@ def test_class_size_divides_group_order(kind, n, data):
         assert order % size == 0
 
 
+def _core_key(lam):
+    # a type's class sizes depend only on its support, centralizer
+    # factor, parity and whether its cycles are odd and distinct
+    lengths = lam.part_list()
+    odd_distinct = all(k % 2 for k in lengths) and len(set(lengths)) == len(lengths)
+    return lam.support, centralizer_order_sym(lam, lam.support), is_even(lam), odd_distinct
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_entry_points_agree_with_class_size(kind):
-    # psi_members annotates certificate witnesses with cycle types, so each
-    # yielded size must be a class size of its type, and a type must yield
-    # exactly the entries class_size gives it: two halves for a split class
+    # psi_members annotates certificate witnesses with cycle types: each
+    # core yields its class sizes once, annotated with its first type; the
+    # first core with two types is at support 13 (9+2+2 and 6+4+3)
     split_fixed_points = set()
-    for n in range(1, 13):
-
-        def admissible(lam):
-            return kind is SYM or n < 2 or is_even(lam)
-
-        yielded: dict[CycleType, list[int]] = {}
-        for size, lam in psi_members(kind, n, 0):
-            assert size in class_size(kind, n, lam)
-            yielded.setdefault(lam, []).append(size)
+    for n in range(1, 17):
+        first_of = {}
         for m in range(2, n + 1):
             for lam in fixed_point_free_partitions(m):
-                expected = class_size(kind, n, lam) if admissible(lam) else []
-                assert yielded.pop(lam, []) == expected, (n, lam)
-                if len(expected) == 2:
-                    split_fixed_points.add(n - m)
-        assert not yielded
+                first_of.setdefault(_core_key(lam), lam)
+        yielded: dict[CycleType, list[int]] = {}
+        for size, lam in psi_members(kind, n, 0):
+            assert size in class_size(kind, n, lam), (n, lam, size)
+            assert first_of[_core_key(lam)] == lam, (n, lam)
+            yielded.setdefault(lam, []).append(size)
+        for m in range(2, n + 1):
+            walked = fixed_point_free_partitions(m)
+            assert {s for lam, sizes in yielded.items() if lam.support == m for s in sizes} == {
+                s for lam in walked if admissible(kind, n, lam) for s in class_size(kind, n, lam)
+            }, (n, m)
+        for lam in first_of.values():
+            expected = class_size(kind, n, lam) if admissible(kind, n, lam) else []
+            assert yielded.get(lam, []) == expected, (n, lam)
+            if len(expected) == 2:
+                split_fixed_points.add(n - lam.support)
         moved = fixed_point_free_partitions(n)
         assert set(moved_class_sizes(kind, n).values) == {
-            s for lam in moved if admissible(lam) for s in class_size(kind, n, lam)
+            s for lam in moved if admissible(kind, n, lam) for s in class_size(kind, n, lam)
         }
         assert set(spectrum(kind, n).values) == {
-            s for lam in partitions(n) if admissible(lam) for s in class_size(kind, n, lam)
+            s for lam in partitions(n) if admissible(kind, n, lam) for s in class_size(kind, n, lam)
         }
     assert split_fixed_points == (set() if kind is SYM else {0, 1})
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+@pytest.mark.parametrize("kind", KINDS)
+def test_psi_members_first_types_match_partition_walk(kind, n):
+    # check_case keeps the first type psi_members yields for each size as
+    # the witness annotation; it must be the first in support and
+    # partition order, as a walk over every type finds it
+    for t in range(0, n + 1):
+        first: dict[int, CycleType] = {}
+        for size, lam in psi_members(kind, n, t):
+            first.setdefault(size, lam)
+        assert first == psi_first_types(kind, n, t), (n, t)
 
 
 def test_lagrange_check_survives_optimized_mode():

@@ -95,6 +95,17 @@ def test_spectrum_cache_env_var(capsys, tmp_path, monkeypatch):
     assert list((tmp_path / "envcache").glob("*.json"))
 
 
+def test_spectrum_survives_unwritable_cache(capsys, tmp_path):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    args = ["spectrum", "--kind", "alt", "--n", "5", "--format", "json"]
+    code, out, err = run_cli(capsys, *args, "--cache-dir", str(blocker))
+    assert code == 0
+    assert out == '{"values":["1","12","15","20"]}\n'
+    assert len(err.splitlines()) == 1 and err.startswith("warning: spectrum cache not written")
+    assert blocker.read_text() == ""
+
+
 def test_height_from_file(capsys, tmp_path):
     chain = tmp_path / "chain.txt"
     chain.write_text("2\n4\n8\n16\n")

@@ -130,6 +130,20 @@ def test_bound_report_examples():
     assert r1360.gap_bound_holds  # 33 < 1360^0.525 = 44.3...
 
 
+def test_bound_report_flags_match_chebyshev_sweep():
+    sweep = chebyshev_sweep(10, 10_000)
+    lower_bad = set(sweep.lower_violations)
+    upper_bad = set(sweep.upper_violations)
+    gap_bad = set(sweep.gap_violations)
+    for x in range(11, 10_001):
+        report = bound_report(x)
+        assert (report.lower_holds, report.upper_holds, report.gap_bound_holds) == (
+            x not in lower_bad,
+            x not in upper_bad,
+            x not in gap_bad,
+        ), x
+
+
 def test_bound_report_domain():
     with pytest.raises(DomainError):
         bound_report(10)
