@@ -1,19 +1,31 @@
 """Prime sieving and counting, the half-interval prime set, and bound diagnostics.
 
 The sieve is segmented (fixed 2^20-entry windows) and bit-packed, so
-limits up to 10^8 stay within ordinary memory. Every verification-relevant
-comparison elsewhere in the package uses exact integers; the Chebyshev-type
-constants handled here are floating-point diagnostics only.
+limits up to 10^8 stay within ordinary memory: bit k & 7 of byte k >> 3 is
+set exactly when k is prime. Each window is crossed off one byte per
+integer and then packed 8 KiB at a time by C-level bytes and int
+operations, and ``primes_in`` enumerates set bits a byte at a time from a
+256-entry offset table, so neither does a Python step per integer.
+
+Every verification-relevant comparison elsewhere in the package uses
+exact integers; the Chebyshev-type constants handled here are
+floating-point diagnostics only.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
 
 SEGMENT_SIZE = 1 << 20
+# a segment's 0/1 flag bytes are packed into bits this many at a time
+PACK_SLICE = 1 << 13
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# _BIT_OFFSETS[b]: the positions 0..7 of the set bits of byte b, ascending
+_BIT_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 # diagnostic constants: claimed pi(x) envelope 0.921 x/ln x < pi(x) < 1.106 x/ln x
 CHEBYSHEV_LOWER = 0.921
@@ -45,17 +57,34 @@ class PrimalityTable:
         if x > self.limit:
             raise DomainError(f"{x} outside sieve range [0, {self.limit}]")
         full, rem = divmod(x + 1, 8)
-        total = int.from_bytes(bytes(self._bits[:full]), "little").bit_count()
+        total = int.from_bytes(self._bits[:full], "little").bit_count()
         if rem:
             total += (self._bits[full] & ((1 << rem) - 1)).bit_count()
         return total
 
     def primes_in(self, lo: int, hi: int) -> list[int]:
-        """All primes in [lo, hi], ascending."""
+        """All primes in [lo, hi], ascending.
+
+        Walks the set bits of the bytes that cover [lo, hi]: each non-zero
+        byte j contributes 8j + i for the offsets i of its set bits, and the
+        up to 7 entries outside [lo, hi] at either end are then trimmed in
+        place.
+        """
         lo = max(lo, 2)
         if hi > self.limit:
             raise DomainError(f"{hi} outside sieve range [0, {self.limit}]")
-        return [k for k in range(lo, hi + 1) if self._bits[k >> 3] & (1 << (k & 7))]
+        if lo > hi:
+            return []
+        first = lo >> 3
+        found = [
+            (j << 3) + i
+            for j, byte in enumerate(self._bits[first : (hi >> 3) + 1], first)
+            if byte
+            for i in _BIT_OFFSETS[byte]
+        ]
+        del found[bisect_right(found, hi) :]
+        del found[: bisect_left(found, lo)]
+        return found
 
     def prev_prime(self, x: int) -> int | None:
         """Largest prime <= x, or None when x < 2."""
@@ -82,7 +111,15 @@ def _small_primes(limit: int) -> list[int]:
 
 
 def sieve(limit: int) -> PrimalityTable:
-    """Exact primality table for [0, limit], built in 2^20-entry segments."""
+    """Exact primality table for [0, limit], built in 2^20-entry segments.
+
+    Each segment is a window of 0/1 flag bytes crossed off by slice
+    assignment. It is packed in PACK_SLICE-byte slices: a slice's flags
+    become the digits '0'/'1', reversed so that flag i is bit i, and are
+    read as one base-2 int whose little-endian bytes are the slice's bits.
+    Segment and slice starts are multiples of 8, so each slice fills whole
+    bytes of the table from byte (seg_lo + off) >> 3.
+    """
     if limit < 0:
         raise DomainError("sieve() needs limit >= 0")
     bits = bytearray(limit // 8 + 1)
@@ -97,11 +134,11 @@ def sieve(limit: int) -> PrimalityTable:
             if start > seg_hi:
                 continue
             window[start - seg_lo :: p] = b"\x00" * ((seg_hi - start) // p + 1)
-        j = window.find(1)
-        while j != -1:
-            k = seg_lo + j
-            bits[k >> 3] |= 1 << (k & 7)
-            j = window.find(1, j + 1)
+        for off in range(0, len(window), PACK_SLICE):
+            chunk = window[off : off + PACK_SLICE]
+            packed = int(chunk.translate(_FLAG_DIGITS)[::-1], 2).to_bytes((len(chunk) + 7) >> 3, "little")
+            at = (seg_lo + off) >> 3
+            bits[at : at + len(packed)] = packed
     return PrimalityTable(limit, bits)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -140,35 +141,41 @@ class OmegaSweep:
 def omega_sweep(start: int, stop: int, table: PrimalityTable | None = None) -> OmegaSweep:
     """Run check_omega_lemma for every n in [start, stop]; collect failures.
 
-    Prime counts and the running n!/p! product are maintained
-    incrementally, so a sweep to 10^6 stays in linear time; each failing n
-    is then re-checked by check_omega_lemma, which builds its record.
+    Degrees are walked one prime gap at a time. Across a gap [p, q - 1]
+    between consecutive primes, n!/p! does not decrease and
+    |Omega(n)| = pi(p) - pi(n // 2) does not increase, so the failing
+    degrees of a gap form a suffix of it. Only the gap's last degree n in
+    range is tested, exactly: (n - p) * bitlen(n) <= |Omega(n)| bounds
+    n!/p! below 2^|Omega(n)| without building the product; otherwise the
+    product is built and must have at most |Omega(n)| bits. When n fails,
+    check_omega_lemma re-checks the gap from n downwards until a degree
+    holds, and builds each failing record. pi(n // 2) is a pointer that
+    only moves forward. ``checked`` counts every degree in [start, stop],
+    as if each were tested on its own.
     """
     if start < 3 or stop < start:
         raise DomainError("omega_sweep() needs 3 <= start <= stop")
     if table is None or table.limit < stop:
         table = shared_table(stop)
+    primes = table.primes_in(2, stop)
+    primes.append(stop + 1)  # closes the last gap at stop
     failures: list[OmegaCheck] = []
-    pi_n = table.count(start - 1)
-    half = (start - 1) // 2
-    pi_half = table.count(half)
-    p = table.prev_prime(start - 1)
-    if p is None:
-        raise InvariantError(f"no prime <= {start - 1}")
-    ratio = factorial_ratio(start - 1, p)
-    for n in range(start, stop + 1):
-        if table.is_prime(n):
-            pi_n += 1
-            ratio = 1
-        else:
-            ratio *= n
-        if n // 2 != half:
-            half = n // 2
-            if table.is_prime(half):
-                pi_half += 1
-        count = pi_n - pi_half
-        if not (1 << count) > ratio:
-            failures.append(check_omega_lemma(n, table))
+    half = 0  # pi(n // 2) for the gap's last degree n, as an index into primes
+    for k in range(bisect_right(primes, start) - 1, len(primes) - 1):
+        p = primes[k]
+        n = primes[k + 1] - 1
+        while primes[half] <= n >> 1:
+            half += 1
+        count = k + 1 - half
+        if (n - p) * n.bit_length() <= count or factorial_ratio(n, p).bit_length() <= count:
+            continue
+        gap_failures = []
+        for m in range(n, max(p, start) - 1, -1):
+            check = check_omega_lemma(m, table)
+            if check.holds:
+                break
+            gap_failures.append(check)
+        failures.extend(reversed(gap_failures))
     return OmegaSweep(start=start, stop=stop, checked=stop - start + 1, failures=tuple(failures))
 
 

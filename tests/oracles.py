@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 Nothing here reuses the package's formulas: partition numbers come from
-the pentagonal-number recurrence, conjugacy data from explicit orbits of
+the pentagonal-number recurrence, primality from an unsegmented sieve with
+one byte per integer, conjugacy data from explicit orbits of
 permutation tuples, chain heights from subset enumeration, and chain
 witnesses (tie-breaks included) from the quadratic longest-path DP. The
 one exception is the partition walk, which checks the class-size state
@@ -42,6 +43,24 @@ def partition_count(n: int) -> int:
         total += sign * (partition_count(n - g1) + partition_count(n - g2))
         k += 1
     return total
+
+
+def bytewise_primes(limit: int) -> bytearray:
+    """flags[k] == 1 exactly when k is prime, for k in [0, limit].
+
+    One byte per integer, crossed off in a single window: no segments
+    and no bit packing.
+    """
+    flags = bytearray(limit + 1)
+    for k in range(2, limit + 1):
+        flags[k] = 1
+    for d in range(2, limit + 1):
+        if d * d > limit:
+            break
+        if flags[d]:
+            for multiple in range(d * d, limit + 1, d):
+                flags[multiple] = 0
+    return flags
 
 
 def sign(perm: tuple[int, ...]) -> int:

@@ -2,6 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import bytewise_primes
 
 from class_spectrum import (
     DomainError,
@@ -46,6 +49,47 @@ def test_sieve_segment_boundaries():
     table = sieve(limit)
     for k in range((1 << 20) - 30, limit + 1):
         assert table.is_prime(k) == trial_division_is_prime(k)
+
+
+def pack_bit_by_bit(flags: bytearray) -> bytearray:
+    """Bit k of byte k >> 3 set exactly when flags[k] is set."""
+    bits = bytearray((len(flags) + 7) // 8)
+    for k, flag in enumerate(flags):
+        if flag:
+            bits[k >> 3] |= 1 << (k & 7)
+    return bits
+
+
+@pytest.mark.parametrize("limit", list(range(71)) + [(1 << 20) - 1, 1 << 20, (1 << 20) + 1, (1 << 21) + 13])
+def test_sieve_bits_match_bytewise_oracle(limit):
+    assert sieve(limit)._bits == pack_bit_by_bit(bytewise_primes(limit))
+
+
+SMALL_LIMIT = 300
+SMALL_TABLE = sieve(SMALL_LIMIT)
+SMALL_FLAGS = bytewise_primes(SMALL_LIMIT)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=-3, max_value=SMALL_LIMIT), st.integers(min_value=-3, max_value=SMALL_LIMIT))
+def test_primes_in_matches_bytewise_oracle(lo, hi):
+    expected = [k for k in range(max(lo, 0), hi + 1) if SMALL_FLAGS[k]]
+    assert SMALL_TABLE.primes_in(lo, hi) == expected
+
+
+def test_primes_in_byte_edges():
+    edges = [-3, 0, 1, 2, 7, 8, 9, 15, 16, 17, 293, 296, 299, 300]
+    for lo in edges:
+        for hi in edges:
+            expected = [k for k in range(max(lo, 0), hi + 1) if SMALL_FLAGS[k]]
+            assert SMALL_TABLE.primes_in(lo, hi) == expected, (lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=-3, max_value=400), st.integers(min_value=SMALL_LIMIT + 1, max_value=400))
+def test_primes_in_above_limit_raises(lo, hi):
+    with pytest.raises(DomainError):
+        SMALL_TABLE.primes_in(lo, hi)
 
 
 def test_count_prefix_edges():

@@ -12,6 +12,7 @@ from class_spectrum import (
     VERTICES,
     DomainError,
     GroupKind,
+    OmegaSweep,
     check_case,
     check_omega_lemma,
     class_size,
@@ -42,12 +43,24 @@ def test_check_omega_prime_degrees_hold_trivially():
         assert check.holds and check.ratio_bits == 1
 
 
+def per_degree_sweep(start: int, stop: int, table) -> OmegaSweep:
+    """The OmegaSweep of one check_omega_lemma call per degree in [start, stop]."""
+    checks = (check_omega_lemma(n, table) for n in range(start, stop + 1))
+    failures = tuple(check for check in checks if not check.holds)
+    return OmegaSweep(start=start, stop=stop, checked=stop - start + 1, failures=failures)
+
+
+@pytest.mark.parametrize("start", [3, 4, 5, 1361, 1362, 1390, 1391, 1392, 5777, 5778, 5779])
+def test_omega_sweep_matches_per_degree_checks(start):
+    table = shared_table(20000)
+    next_prime = table.primes_in(start + 1, 2 * start + 2)[0]
+    for stop in sorted({start, start + 1, next_prime, 6000}):
+        assert omega_sweep(start, stop, table) == per_degree_sweep(start, stop, table), stop
+
+
 def test_omega_sweep_agrees_with_single_checks():
-    table = shared_table(3000)
-    swept = omega_sweep(1362, 3000, table)
-    failing = {check.n for check in swept.failures}
-    for n in range(1362, 3001):
-        assert check_omega_lemma(n, table).holds == (n not in failing)
+    table = shared_table(20000)
+    assert omega_sweep(3, 20000, table) == per_degree_sweep(3, 20000, table)
 
 
 def test_omega_sweep_known_counterexample_window():
