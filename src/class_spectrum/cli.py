@@ -294,6 +294,20 @@ def _cmd_bounds(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # class sizes and witnesses pass Python's int/str digit limit (4300 by
+    # default) from about n = 1560; lift it for this call only
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _main(argv)
+    finally:
+        set_limit(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

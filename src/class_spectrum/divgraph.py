@@ -7,6 +7,12 @@ holds the values whose longest chain ending there has L + 1 elements. A
 value's level is one above the highest level holding one of its
 divisors, so every level is an antichain, and the levels, as many as the
 height, cover the input (Mirsky's dual of Dilworth's theorem).
+
+"Level j holds a divisor of v" is downward closed in j: a divisor on
+level j has a chain of divisors through every level below it, and each of
+them divides v. So that highest level is found by bisection over the
+levels, as the piles are in the O(n log n) longest increasing
+subsequence algorithm, with O(log h) level scans per value.
 """
 
 from __future__ import annotations
@@ -40,10 +46,12 @@ def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """(vertex count, witness) of a maximal divisibility chain.
 
     Values are taken in ascending order, and each level lists its values
-    in ascending order. A value scans the levels from the top down and
-    stops at the first level that holds one of its divisors; it joins the
-    level above (level 0 when no level does). Each level is an antichain,
-    since a value never shares a level with one of its divisors.
+    in ascending order. A value bisects the levels for the highest one
+    that holds one of its divisors, which is sound because holding a
+    divisor is downward closed (see the module docstring); each probe
+    scans one level for its smallest divisor. The value joins the level
+    above (level 0 when no level does). Each level is an antichain, since
+    a value never shares a level with one of its divisors.
 
     Ties are broken deterministically: a value's chain parent is the
     smallest of its divisors whose longest chain is longest, and the
@@ -56,18 +64,23 @@ def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     parent: dict[int, int] = {}
     for v in vals:
         remainder = v.__mod__
-        depth = len(levels)
-        while depth:
-            below = levels[depth - 1]
+        # levels below lo hold a divisor of v, levels from hi up hold none
+        lo, hi = 0, len(levels)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            level = levels[mid]
             try:
                 # the remainder loop runs in C; ValueError means no divisor here
-                parent[v] = below[indexOf(map(remainder, below), 0)]
-                break
+                divisor = level[indexOf(map(remainder, level), 0)]
             except ValueError:
-                depth -= 1
-        if depth == len(levels):
+                hi = mid
+            else:
+                # lo only rises here, so the last divisor found is on level lo - 1
+                parent[v] = divisor
+                lo = mid + 1
+        if lo == len(levels):
             levels.append([])
-        levels[depth].append(v)
+        levels[lo].append(v)
     height = len(levels)
     if not height:
         return 0, ()

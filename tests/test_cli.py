@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from class_spectrum import GroupKind, phi_set
 from class_spectrum.cli import dump_json, main
 
 
@@ -115,6 +116,32 @@ def test_height_from_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "height", "--input", str(chain), "--convention", "edges")
     assert code == 0
     assert out.splitlines()[0] == "3"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+def test_integers_past_the_digit_limit(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--kind", "sym", "--n", "1700", "--family", "phi", "--t", "1699",
+        "--format", "json", "--no-cache",
+    )
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    (printed,) = json.loads(out)["values"]
+    assert len(printed) > limit
+    # v and 10 v: a chain of two values, each past the limit
+    values = tmp_path / "big.txt"
+    values.write_text(f"{printed}\n{printed}0\n")
+    code, out, _ = run_cli(capsys, "height", "--input", str(values))
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert out.splitlines() == ["2", f"witness: {printed} {printed}0"]
+    (expected,) = phi_set(GroupKind.SYM, 1700, 1699).values
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(printed) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_height_rejects_nonpositive(capsys, tmp_path):

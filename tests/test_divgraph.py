@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from class_spectrum import EDGES, VERTICES, ChainResult, DomainError, GroupKind, height, longest_chain
-from class_spectrum.classes import moved_class_sizes
+from class_spectrum.classes import moved_class_sizes, psi_members
 from oracles import brute_chain_height, quadratic_longest_chain
 
 values_small = st.frozensets(st.integers(min_value=1, max_value=10**6), max_size=12)
@@ -17,6 +17,32 @@ smooth = st.builds(
     st.integers(0, 2),
 )
 values_tied = st.lists(smooth, max_size=40)
+# a tall chain 2^0..2^k mixed with arbitrary values and with multiples of its
+# powers: up to 41 levels and more, against about 13 for the smooth values
+values_deep = st.builds(
+    lambda k, mixed: {2**j for j in range(k + 1)} | mixed,
+    st.integers(0, 40),
+    st.frozensets(
+        st.one_of(
+            st.integers(min_value=1, max_value=10**15),
+            st.builds(lambda a, b: 2**a * b, st.integers(0, 45), st.integers(1, 99)),
+        ),
+        max_size=30,
+    ),
+)
+
+
+class CountedInt(int):
+    """An int that counts the remainders taken with it as the dividend."""
+
+    def __new__(cls, value):
+        self = super().__new__(cls, value)
+        self.remainders = 0
+        return self
+
+    def __mod__(self, other):
+        self.remainders += 1
+        return int.__mod__(self, other)
 
 
 def test_examples():
@@ -103,3 +129,29 @@ def test_matches_quadratic_dp_on_moved_class_sizes(kind):
     for i in range(21):
         values = moved_class_sizes(kind, i).values
         assert longest_chain(values) == quadratic_longest_chain(values), i
+
+
+@settings(max_examples=500, deadline=None)
+@given(values_deep)
+def test_matches_quadratic_dp_on_deep_levels(values):
+    assert longest_chain(values) == quadratic_longest_chain(values)
+
+
+# (n, t = p, the largest prime <= n): residual supports 13 to 29, heights up to 62
+@pytest.mark.parametrize("n, t", [(126, 113), (540, 523), (906, 887), (1356, 1327)])
+@pytest.mark.parametrize("kind", [GroupKind.SYM, GroupKind.ALT])
+def test_matches_quadratic_dp_on_psi_families(kind, n, t):
+    values = [size for size, _ in psi_members(kind, n, t)]
+    assert longest_chain(values) == quadratic_longest_chain(values)
+
+
+def test_bisection_scans_logarithmically_many_levels():
+    chain = [2**j for j in range(60)]
+    # odd values in one octave: none is divisible by a chain element but 1 or
+    # by another of them, so each joins level 1 after scanning levels 1 and 0
+    odd = [CountedInt(2**60 + 2 * i + 1) for i in range(200)]
+    assert longest_chain(chain + odd) == (60, tuple(chain))
+    for i, v in enumerate(odd):
+        # level 1 holds 2 and the i odd values before v; level 0 holds 1
+        probes_above_level_1 = v.remainders - (i + 1) - 1
+        assert probes_above_level_1 <= len(chain).bit_length(), i
