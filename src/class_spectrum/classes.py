@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, EnumerationCapError, InvariantError
-from .partitions import CycleType
+from .partitions import CycleType, is_even
 
 DEFAULT_SPECTRUM_CAP = 45
 
@@ -77,28 +77,23 @@ def group_order(kind: GroupKind, n: int) -> int:
     return math.factorial(n) // 2 if n >= 2 else 1
 
 
-def _core(ct: CycleType) -> tuple[int, int, bool, bool]:
-    """(moved points, centralizer factor, even, odd-distinct) over the parts of length >= 2.
+def _core(ct: CycleType) -> tuple[int, int]:
+    """(support, packed state) of the moved part of ct, the parts of length >= 2.
 
-    The factor is prod(k^m * m!) restricted to k >= 2; length-1 parts are
-    fixed points and belong with the padding. The type is even when it has
-    an even number of even-length cycles, and odd-distinct when its moved
-    cycles all have odd, pairwise distinct lengths.
+    Length-1 parts are fixed points and belong with the padding. The state
+    packs 4z + 2*even + odd-distinct, as ``_core_states`` does: z is the
+    centralizer factor prod(k^m * m!) over the moved parts, the type is
+    even when it has an even number of even-length cycles, and it is
+    odd-distinct when its moved cycles all have odd, pairwise distinct
+    lengths, i.e. exactly when z is odd.
     """
     c = 0
     z = 1
-    even_cycles = 0
-    aod = True
     for k, m in ct.parts:
         if k >= 2:
             c += k * m
             z *= k**m * math.factorial(m)
-            if k % 2 == 0:
-                even_cycles += m
-                aod = False
-            elif m > 1:
-                aod = False
-    return c, z, even_cycles % 2 == 0, aod
+    return c, 4 * z | 2 * is_even(ct) | z & 1
 
 
 def _placements(n: int) -> Callable[[int], int]:
@@ -106,11 +101,10 @@ def _placements(n: int) -> Callable[[int], int]:
     return lru_cache(maxsize=None)(partial(math.perm, n))
 
 
-def _sizes(
-    kind: GroupKind, n: int, placed: Callable[[int], int], c: int, z: int, even: bool, aod: bool
-) -> tuple[int, ...]:
-    """Class sizes in V_n of a ``_core`` (c, z, even, aod) padded by n - c fixed points.
+def _sizes(kind: GroupKind, n: int, placed: Callable[[int], int], c: int, state: int) -> tuple[int, ...]:
+    """Class sizes in V_n of a core (support c, packed state) padded by n - c fixed points.
 
+    The state is 4z + 2*even + odd-distinct, as ``_core`` packs it.
     ``placed`` is ``_placements(n)``, shared by every type of one walk so
     the per-support factor is computed once. The Sym_n class has
     n!/((n-c)! * z) elements. In Alt_n (n >= 2) an odd type has no class,
@@ -120,10 +114,10 @@ def _sizes(
     halves are returned.
     """
     alt = kind is GroupKind.ALT and n >= 2
-    if alt and not even:
+    if alt and not state & 2:
         return ()
-    s = placed(c) // z
-    if alt and aod and n - c <= 1:
+    s = placed(c) // (state >> 2)
+    if alt and state & 1 and n - c <= 1:
         return (s // 2, s // 2)
     return (s,)
 
@@ -137,8 +131,8 @@ def centralizer_order_sym(ct: CycleType, n: int) -> int:
     """
     if ct.support > n:
         raise DomainError(f"cycle type covers {ct.support} points, exceeding degree {n}")
-    c, z, _, _ = _core(ct)
-    return math.factorial(n - c) * z
+    c, state = _core(ct)
+    return math.factorial(n - c) * (state >> 2)
 
 
 def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
@@ -156,11 +150,12 @@ def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
 
 
 def _core_states(m: int, flagged: bool, witness: bool = False) -> list[dict[int, Parts | None]]:
-    """Per support c <= m, every distinct ``_core`` of a fixed-point-free type of support c.
+    """Per support c <= m, the packed state of every distinct core of support c.
 
     Layer c maps each state, packed into one int as 4z + 2*even +
-    odd-distinct, to its witness: with ``witness``, the ``CycleType.parts``
-    of its first type in ``fixed_point_free_partitions`` order, else None.
+    odd-distinct as in ``_core``, to its witness: with ``witness``, the
+    ``CycleType.parts`` of its first type in
+    ``fixed_point_free_partitions`` order, else None.
     Without ``flagged`` (Sym, whose sizes ignore the flags) both flag bits
     stay 0, so states merge by z alone. The DP takes cycle lengths
     k = 2..m in ascending order and extends every state of support c by
@@ -221,7 +216,7 @@ def _state_sizes(kind: GroupKind, n: int, pairs: Iterable[tuple[int, int]]) -> I
     """Sizes in V_n of (support, packed state) pairs as ``_core_states`` yields them."""
     placed = _placements(n)
     for c, state in pairs:
-        yield from _sizes(kind, n, placed, c, state >> 2, bool(state & 2), bool(state & 1))
+        yield from _sizes(kind, n, placed, c, state)
 
 
 def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) -> Spectrum:
@@ -244,8 +239,8 @@ def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) ->
 
 
 @lru_cache(maxsize=None)
-def _fpf_cores(m: int) -> tuple[tuple[CycleType, int, bool, bool], ...]:
-    """(first type, z factor, even, odd-distinct) per distinct core of support m.
+def _fpf_cores(m: int) -> tuple[tuple[CycleType, int], ...]:
+    """(first type, packed state) per distinct core of support m.
 
     One row per flagged state of ``_core_states(m)`` at support m, so both
     kinds share the rows; they are sorted by first type in
@@ -253,7 +248,7 @@ def _fpf_cores(m: int) -> tuple[tuple[CycleType, int, bool, bool], ...]:
     """
     layer = _core_states(m, True, witness=True)[m]
     rows = sorted(layer.items(), key=itemgetter(1), reverse=True)
-    return tuple((CycleType(parts), state >> 2, bool(state & 2), bool(state & 1)) for state, parts in rows)
+    return tuple((CycleType(parts), state) for state, parts in rows)
 
 
 def moved_class_sizes(kind: GroupKind, i: int) -> Spectrum:
@@ -267,7 +262,7 @@ def moved_class_sizes(kind: GroupKind, i: int) -> Spectrum:
     if i < 0:
         raise DomainError("moved_class_sizes() needs i >= 0")
     placed = _placements(i)
-    values = [s for _, z, even, aod in _fpf_cores(i) for s in _sizes(kind, i, placed, i, z, even, aod)]
+    values = [s for _, state in _fpf_cores(i) for s in _sizes(kind, i, placed, i, state)]
     return Spectrum.build(values, kind, i, "moved")
 
 
@@ -287,37 +282,32 @@ def phi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
     return Spectrum.build(_state_sizes(kind, n, pairs), kind, n, f"phi(t={t})")
 
 
-def psi_members(
-    kind: GroupKind, n: int, t: int, support_cap: int | None = None
-) -> Iterator[tuple[int, CycleType]]:
+def psi_members(kind: GroupKind, n: int, t: int) -> Iterator[tuple[int, CycleType]]:
     """(class size, fixed-point-free cycle type) pairs behind psi_set.
 
-    Supports m run over 2 <= m <= n - t (optionally truncated by
-    support_cap). Each distinct core of support m (see ``_fpf_cores``)
-    yields its sizes once, annotated with its first type in
-    ``fixed_point_free_partitions`` order, and the cores come in the
-    order of those first types. So the first pair that yields a size
-    carries the first type, in support and partition order, with that
-    size. A class that splits in Alt_n (see ``_sizes``) yields its common
-    half size twice, once per class, with the same type annotation.
+    Supports m run over 2 <= m <= n - t. Each distinct core of support m,
+    a (first type, packed state) row of ``_fpf_cores``, yields its sizes
+    once, annotated with its first type in ``fixed_point_free_partitions``
+    order, and the rows come in the order of those first types. So the
+    first pair that yields a size carries the first type, in support and
+    partition order, with that size. A class that splits in Alt_n (see
+    ``_sizes``) yields its common half size twice, once per class, with
+    the same type annotation.
     """
     if t < 0 or t > n:
         raise DomainError(f"psi needs 0 <= t <= n, got n={n}, t={t}")
-    hi = n - t
-    if support_cap is not None:
-        hi = min(hi, support_cap)
     placed = _placements(n)
-    for m in range(2, hi + 1):
-        for ct, z, even, aod in _fpf_cores(m):
-            for s in _sizes(kind, n, placed, m, z, even, aod):
+    for m in range(2, n - t + 1):
+        for ct, state in _fpf_cores(m):
+            for s in _sizes(kind, n, placed, m, state):
                 yield s, ct
 
 
-def psi_set(kind: GroupKind, n: int, t: int, support_cap: int | None = None) -> Spectrum:
+def psi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
     """Class sizes in V_n of elements moving between 2 and n - t points.
 
     Empty when n - t < 2. Computed through the closed form
     C(n, m) * |class in Sym_m| rather than by dividing group orders.
     """
-    values = (v for v, _ in psi_members(kind, n, t, support_cap))
+    values = (v for v, _ in psi_members(kind, n, t))
     return Spectrum.build(values, kind, n, f"psi(t={t})")

@@ -27,7 +27,7 @@ from .classes import (
     spectrum,
 )
 from .divgraph import CONVENTIONS, VERTICES, height
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .primes import bound_report, factorial_ratio, omega_set
 from .verify import (
     CSV_FIELDS,
@@ -53,6 +53,8 @@ def _parse_kinds(text: str) -> tuple[GroupKind, ...]:
     kinds = tuple(GroupKind.parse(part) for part in text.split(",") if part.strip())
     if not kinds:
         raise DomainError("no group kinds given")
+    if len(set(kinds)) < len(kinds):
+        raise DomainError(f"repeated group kind in {text!r}")
     return kinds
 
 
@@ -317,6 +319,9 @@ def _main(argv: list[str] | None) -> int:
         return args.run(args)
     except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,4 +1,9 @@
-"""Integer partitions represented as cycle types, with permutation parity."""
+"""Integer partitions represented as cycle types, with permutation parity.
+
+All partitions and the fixed-point-free ones (every part >= 2) come from
+one recursive walk over decreasing part lists, ``_descending``, so both
+streams share its reverse lexicographic order.
+"""
 
 from __future__ import annotations
 
@@ -75,9 +80,6 @@ class CycleType:
         return "+".join(str(k) for k in self.part_list()) or "e"
 
 
-EMPTY = CycleType()
-
-
 def partitions(m: int) -> Iterator[CycleType]:
     """Yield every partition of m exactly once, largest part first.
 
@@ -86,55 +88,32 @@ def partitions(m: int) -> Iterator[CycleType]:
     """
     if m < 0:
         raise DomainError("partitions() needs m >= 0")
-    return _partitions(m)
-
-
-def _partitions(m: int) -> Iterator[CycleType]:
-    if m == 0:
-        yield EMPTY
-        return
-    r = (m,)
-    yield _from_desc(r)
-    while True:
-        i = len(r) - 1
-        while i > -1 and r[i] == 1:
-            i -= 1
-        if i == -1:
-            return
-        s = len(r) - i
-        r = r[:i] + (r[i] - 1,)
-        while s > 0:
-            r += (min(r[-1], s),)
-            s -= r[-1]
-        yield _from_desc(r)
+    return map(_from_desc, _descending(m, m, 1))
 
 
 def fixed_point_free_partitions(m: int) -> Iterator[CycleType]:
-    """Partitions of m with every part >= 2, largest part first.
+    """Partitions of m with every part >= 2, in the order of ``partitions``.
 
     These are the cycle types of permutations moving all m points of their
     support; there are none for m = 1.
     """
     if m < 0:
         raise DomainError("fixed_point_free_partitions() needs m >= 0")
-    return _fixed_point_free(m)
+    return map(_from_desc, _descending(m, m, 2))
 
 
-def _fixed_point_free(m: int) -> Iterator[CycleType]:
-    if m == 0:
-        yield EMPTY
-        return
-    yield from (_from_desc(t) for t in _parts_min2(m, m))
+def _descending(m: int, max_part: int, least: int) -> Iterator[tuple[int, ...]]:
+    """Decreasing part lists of m with parts in [least, max_part], reverse lexicographic.
 
-
-def _parts_min2(m: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    for k in range(min(m, max_part), 1, -1):
-        rem = m - k
-        if rem == 0:
-            yield (k,)
-        elif rem >= 2:
-            for rest in _parts_min2(rem, k):
-                yield (k,) + rest
+    The list of equal parts ``least`` comes last and is built in one step,
+    so a tail of least parts costs no recursion per part; for m = 0 it is
+    the empty list.
+    """
+    for k in range(min(m, max_part), least, -1):
+        for rest in _descending(m - k, k, least):
+            yield (k,) + rest
+    if m % least == 0:
+        yield (least,) * (m // least)
 
 
 def _from_desc(desc: tuple[int, ...]) -> CycleType:

@@ -2,10 +2,12 @@
 
 The sieve is segmented (fixed 2^20-entry windows) and bit-packed, so
 limits up to 10^8 stay within ordinary memory: bit k & 7 of byte k >> 3 is
-set exactly when k is prime. Each window is crossed off one byte per
-integer and then packed 8 KiB at a time by C-level bytes and int
-operations, and ``primes_in`` enumerates set bits a byte at a time from a
-256-entry offset table, so neither does a Python step per integer.
+set exactly when k is prime. The primes up to sqrt(limit) that cross off
+the windows come from a smaller ``sieve`` of that square root, so there is
+one sieve. Each window is crossed off one byte per integer and then packed
+8 KiB at a time by C-level bytes and int operations, and ``primes_in``
+enumerates set bits a byte at a time from a 256-entry offset table, so
+neither does a Python step per integer.
 
 Every verification-relevant comparison elsewhere in the package uses
 exact integers; the Chebyshev-type constants handled here are
@@ -98,21 +100,11 @@ class PrimalityTable:
         return None
 
 
-def _small_primes(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return [k for k, f in enumerate(flags) if f]
-
-
 def sieve(limit: int) -> PrimalityTable:
     """Exact primality table for [0, limit], built in 2^20-entry segments.
 
+    The base primes, those up to isqrt(limit), are read from
+    ``sieve(isqrt(limit))``; there are none when that root is below 2.
     Each segment is a window of 0/1 flag bytes crossed off by slice
     assignment. It is packed in PACK_SLICE-byte slices: a slice's flags
     become the digits '0'/'1', reversed so that flag i is bit i, and are
@@ -123,7 +115,8 @@ def sieve(limit: int) -> PrimalityTable:
     if limit < 0:
         raise DomainError("sieve() needs limit >= 0")
     bits = bytearray(limit // 8 + 1)
-    base = _small_primes(math.isqrt(limit))
+    root = math.isqrt(limit)
+    base = sieve(root).primes_in(2, root) if root >= 2 else []
     for seg_lo in range(0, limit + 1, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE - 1, limit)
         window = bytearray([1]) * (seg_hi - seg_lo + 1)

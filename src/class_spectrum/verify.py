@@ -311,7 +311,7 @@ def check_case(
             skipped.append(f"{strategy}: residual support {m} exceeds cap {support_cap}")
             continue
         members: dict[int, CycleType] = {}
-        for value, ct in psi_members(kind, n, t_star, support_cap):
+        for value, ct in psi_members(kind, n, t_star):
             members.setdefault(value, ct)
         h_value, witness = longest_chain(members.keys())
         h_sum = sum(_moved_heights(kind, i)[0] for i in range(1, m + 1))
@@ -427,7 +427,8 @@ def scan_range(
     in chunks of four from the highest degree down, so the costliest
     degrees start first instead of arriving together in the last chunk.
     Certificates are sorted by (n, kind); the aggregate does not depend on
-    scheduling. A negative support_cap or jobs below 1 raises DomainError.
+    scheduling. A negative support_cap, jobs below 1 or a repeated kind
+    raises DomainError.
     """
     if not 23 <= start <= stop:
         raise DomainError("scan_range() needs 23 <= start <= stop")
@@ -436,6 +437,8 @@ def scan_range(
     if jobs < 1:
         raise DomainError(f"scan_range() needs jobs >= 1, got {jobs}")
     kinds = tuple(kinds)
+    if len(set(kinds)) < len(kinds):
+        raise DomainError(f"scan_range() needs distinct kinds, got {', '.join(map(str, kinds))}")
     table = shared_table(stop)
     max_m = 0
     for n in range(start, stop + 1):

@@ -27,6 +27,7 @@ from class_spectrum import (
     psi_set,
     spectrum,
 )
+from class_spectrum.classes import _core, _core_states
 from oracles import (
     admissible,
     class_sizes_where,
@@ -127,6 +128,19 @@ def test_state_dp_matches_partition_walk(kind, n):
         assert phi_set(kind, n, t).values == phi_by_partitions(kind, n, t), t
 
 
+@pytest.mark.parametrize("m", range(0, 17))
+def test_core_packs_the_state_of_core_states(m):
+    # both producers of the packed state must agree flag for flag; Sym
+    # sizes ignore the flags, so no size comparison would catch a stray one
+    layer = _core_states(m, True)[m]
+    packed = set()
+    for lam in fixed_point_free_partitions(m):
+        support, state = _core(lam)
+        assert support == m and state in layer, lam
+        packed.add(state)
+    assert packed == layer.keys()
+
+
 def test_moved_class_sizes_examples():
     assert moved_class_sizes(SYM, 4).values == (3, 6)
     assert moved_class_sizes(SYM, 1).values == ()
@@ -154,13 +168,6 @@ def test_psi_set_examples():
     for kind in KINDS:
         assert psi_set(kind, 8, 7).values == ()
         assert psi_set(kind, 8, 8).values == ()
-
-
-def test_psi_support_cap_truncates():
-    full = psi_set(SYM, 12, 2)
-    capped = psi_set(SYM, 12, 2, support_cap=3)
-    assert set(capped.values) <= set(full.values)
-    assert capped.values == psi_set(SYM, 12, 9).values
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -6,7 +6,9 @@ import sys
 import pytest
 
 from class_spectrum import GroupKind, phi_set
+from class_spectrum import cli
 from class_spectrum.cli import dump_json, main
+from class_spectrum.verify import ChainBoundViolation
 
 
 def run_cli(capsys, *argv):
@@ -344,6 +346,30 @@ def test_verify_rejects_negative_support_cap(capsys, tmp_path):
     assert code == 2 and out == ""
     assert "support_cap >= 0" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_repeated_kind_is_a_usage_error(capsys, tmp_path):
+    # a repeated kind would emit every certificate or column once per copy
+    code, out, err = run_cli(
+        capsys, "verify", "scan", "--from", "23", "--to", "24", "--kinds", "sym,sym", "--out", str(tmp_path)
+    )
+    assert code == 2 and out == ""
+    assert "sym,sym" in err
+    assert not list(tmp_path.iterdir())
+    code, out, err = run_cli(capsys, "hz-table", "--max-m", "4", "--kinds", "alt,sym,Alt")
+    assert code == 2 and out == ""
+    assert "alt,sym,Alt" in err
+
+
+def test_internal_error_exits_2(capsys, monkeypatch):
+    # exit 1 means a FAIL verdict, so a broken invariant must not reach it
+    def broken(*args, **kwargs):
+        raise ChainBoundViolation("direct height 9 exceeds summed bound 8")
+
+    monkeypatch.setattr(cli, "check_case", broken)
+    code, out, err = run_cli(capsys, "verify", "case", "--n", "100", "--kind", "sym")
+    assert code == 2 and out == ""
+    assert err == "error: internal invariant failed: direct height 9 exceeds summed bound 8\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -295,6 +295,8 @@ def test_scan_range_validation():
     for jobs in (0, -1):
         with pytest.raises(DomainError, match="jobs >= 1"):
             scan_range(23, 24, jobs=jobs)
+    with pytest.raises(DomainError, match="distinct kinds"):
+        scan_range(23, 24, kinds=(ALT, SYM, ALT))
 
 
 def test_reference_bounds_table():
