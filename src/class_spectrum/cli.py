@@ -5,6 +5,10 @@ Exit codes: 0 when every verdict is PASS (or the command has no verdict),
 internal errors. JSON output goes through verify.jsonable: integers inside
 lists (class sizes, witness chains, prime sets) are decimal strings, and
 scalar fields stay JSON numbers.
+
+main(argv) may be called repeatedly in one process: it builds its argparse
+parser once, on the first call, and returns the exit code instead of raising
+SystemExit, also for --help, --version and usage errors.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -49,15 +54,27 @@ def dump_json(obj, compact: bool = True) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+# argparse prints the text of an ArgumentTypeError from a type= callable, but
+# replaces that of any other error with "invalid <name> value"
+def _parse_kind(text: str) -> GroupKind:
+    try:
+        return GroupKind.parse(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_kinds(text: str) -> tuple[GroupKind, ...]:
-    kinds = tuple(GroupKind.parse(part) for part in text.split(",") if part.strip())
+    kinds = tuple(_parse_kind(part) for part in text.split(",") if part.strip())
     if not kinds:
-        raise DomainError("no group kinds given")
+        raise argparse.ArgumentTypeError("no group kinds given")
     if len(set(kinds)) < len(kinds):
-        raise DomainError(f"repeated group kind in {text!r}")
+        raise argparse.ArgumentTypeError(f"repeated group kind in {text!r}")
     return kinds
 
 
+# built on the first call rather than at import; parse_args returns a fresh
+# Namespace and leaves the parser as it was, so one parser serves every call
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="class-spectrum",
@@ -67,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="class-size families of Sym_n / Alt_n")
-    sp.add_argument("--kind", required=True, type=GroupKind.parse)
+    sp.add_argument("--kind", required=True, type=_parse_kind)
     sp.add_argument("--n", required=True, type=int)
     sp.add_argument("--family", choices=["full", "moved", "phi", "psi"], default="full")
     sp.add_argument("--t", type=int, default=None, help="required for phi and psi")
@@ -98,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vc = vsub.add_parser("case", help="single-degree certificate")
     vc.add_argument("--n", required=True, type=int)
-    vc.add_argument("--kind", required=True, type=GroupKind.parse)
+    vc.add_argument("--kind", required=True, type=_parse_kind)
     vc.add_argument("--support-cap", type=int, default=DEFAULT_SUPPORT_CAP)
     vc.add_argument("--format", choices=["json", "text"], default="text")
     vc.set_defaults(run=_cmd_verify_case)

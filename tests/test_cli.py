@@ -361,6 +361,54 @@ def test_repeated_kind_is_a_usage_error(capsys, tmp_path):
     assert "alt,sym,Alt" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--kind", "frob", "--n", "4"], "unknown group kind 'frob' (expected 'sym' or 'alt')"),
+        (["verify", "case", "--n", "23", "--kind", "frob"], "expected 'sym' or 'alt'"),
+        (["hz-table", "--max-m", "4", "--kinds", "sym,frob"], "expected 'sym' or 'alt'"),
+        (["hz-table", "--max-m", "4", "--kinds", "sym,sym"], "repeated group kind in 'sym,sym'"),
+        (["verify", "scan", "--from", "23", "--to", "24", "--kinds", ","], "no group kinds given"),
+    ],
+    ids=["spectrum-kind", "case-kind", "hz-table-unknown-kind", "hz-table-repeated-kind", "scan-no-kinds"],
+)
+def test_kind_errors_show_their_text(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, tmp_path):
+    parser = cli._build_parser()
+    omega_argv, omega_code, omega_golden = next(p.values for p in GOLDEN_JSON if p.id == "omega")
+    for argv, code in (
+        (["spectrum", "--kind", "frob", "--n", "4"], 2),
+        (["omega"], 2),
+        (["--version"], 0),
+        (["--help"], 0),
+        (["verify", "case", "--help"], 0),
+    ):
+        assert run_cli(capsys, *argv)[0] == code
+        assert run_cli(capsys, *omega_argv) == (omega_code, omega_golden, "")
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == 1
+
+    cache_dir = tmp_path / "cache"
+    spectrum_argv = ["spectrum", "--kind", "alt", "--n", "5", "--cache-dir", str(cache_dir)]
+    assert run_cli(capsys, *spectrum_argv, "--no-cache", "--format", "json")[0] == 0
+    assert not cache_dir.exists()
+    code, out, _ = run_cli(capsys, *spectrum_argv)
+    assert code == 0 and out == "1\n12\n15\n20\n"
+    assert len(list(cache_dir.glob("*.json"))) == 1
+
+    code, out, _ = run_cli(capsys, "hz-table", "--max-m", "4", "--kinds", "sym", "--format", "json")
+    assert code == 0 and "alt/" not in out
+    code, out, _ = run_cli(capsys, "hz-table", "--max-m", "4")
+    assert code == 0 and out.splitlines()[0].split()[2:] == [
+        "sym/vertices", "sym/edges", "alt/vertices", "alt/edges", "exceeds"
+    ]
+
+
 def test_internal_error_exits_2(capsys, monkeypatch):
     # exit 1 means a FAIL verdict, so a broken invariant must not reach it
     def broken(*args, **kwargs):
