@@ -49,14 +49,13 @@ class SpectrumCache:
             entry = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        payload = entry.get("payload")
-        expected = entry.get("checksum")
+        payload = entry.get("payload") if isinstance(entry, dict) else None
         if (
-            entry.get("key") != key
-            or payload is None
-            or expected != hashlib.sha256(_canonical(payload)).hexdigest()
+            not isinstance(payload, dict)
+            or entry.get("key") != key
+            or entry.get("checksum") != hashlib.sha256(_canonical(payload)).hexdigest()
         ):
-            # corrupt or stale entry: drop it so the caller recomputes
+            # corrupt, stale or malformed entry: drop it so the caller recomputes
             try:
                 path.unlink()
             except OSError:

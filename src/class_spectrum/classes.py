@@ -13,16 +13,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, EnumerationCapError, InvariantError
-from .partitions import CycleType, is_even
+from .partitions import CycleType, fixed_point_free_partitions, is_even
 
 DEFAULT_SPECTRUM_CAP = 45
-
-# the CycleType.parts of a type, (length, multiplicity) by decreasing length
-Parts = tuple[tuple[int, int], ...]
 
 
 class GroupKind(Enum):
@@ -149,38 +145,25 @@ def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
     return list(sizes)
 
 
-def _core_states(m: int, flagged: bool, witness: bool = False) -> list[dict[int, Parts | None]]:
+def _core_states(m: int, flagged: bool) -> list[dict[int, None]]:
     """Per support c <= m, the packed state of every distinct core of support c.
 
-    Layer c maps each state, packed into one int as 4z + 2*even +
-    odd-distinct as in ``_core``, to its witness: with ``witness``, the
-    ``CycleType.parts`` of its first type in
-    ``fixed_point_free_partitions`` order, else None.
-    Without ``flagged`` (Sym, whose sizes ignore the flags) both flag bits
-    stay 0, so states merge by z alone. The DP takes cycle lengths
-    k = 2..m in ascending order and extends every state of support c by
-    j = 1, 2, ... k-cycles: going from j - 1 to j multiplies z by k*j.
-    Supports are taken from the top down, so a state made for this k is
-    not extended by k again, and equal states merge before any size is
-    divided out.
-
-    Each write stores ((k, j),) + the source's witness, and a later write
-    to a state replaces an earlier one. That keeps the first type: by
-    induction a source's witness is its first type over parts below k,
-    and the writes to one state come with k ascending and, within one k,
-    from the top support down, i.e. with j ascending; so a later write
-    has a larger largest part or more copies of it, and comes earlier in
-    the partition order. Within one (k, j) step two sources never meet in
-    one state: z is multiplied and the parity toggled by the same amount
-    for both, and the odd-distinct bit is a function of z, because a
-    fixed-point-free type is odd-distinct exactly when its z is odd.
+    Layer c holds each state, packed into one int as 4z + 2*even +
+    odd-distinct as in ``_core``, as a dict key; as sets the layers raised
+    the peak RSS of ``spectrum`` at n = 45 by about 1 MB. Without
+    ``flagged`` (Sym, whose sizes ignore the flags) both flag bits stay 0,
+    so states merge by z alone. The DP takes cycle lengths k = 2..m in
+    ascending order and extends every state of support c by j = 1, 2, ...
+    k-cycles: going from j - 1 to j multiplies z by k*j. Supports are
+    taken from the top down, so a state made for this k is not extended
+    by k again, and equal states merge before any size is divided out.
     """
-    states: list[dict[int, Parts | None]] = [{} for _ in range(m + 1)]
-    states[0][7 if flagged else 4] = () if witness else None  # the empty type: z = 1, even, odd-distinct
+    states: list[dict[int, None]] = [{} for _ in range(m + 1)]
+    states[0][7 if flagged else 4] = None  # the empty type: z = 1, even, odd-distinct
     for k in range(2, m + 1):
         flip = _parity_flip(k, flagged)
         for c in range(m - k, -1, -1):
-            for state, parts in states[c].items():
+            for state in states[c]:
                 flags = state & 3
                 z4 = state - flags
                 single = _one_cycle_flags(flags, flip)
@@ -189,11 +172,11 @@ def _core_states(m: int, flagged: bool, witness: bool = False) -> list[dict[int,
                 for j, d in enumerate(range(c + k, m + 1, k), 1):
                     z4 *= k * j
                     new = z4 | (single if j == 1 else odd_count if j % 2 else even_count)
-                    states[d][new] = ((k, j),) + parts if witness else None
+                    states[d][new] = None
     return states
 
 
-def _state_pairs(states: list[dict[int, Parts | None]]) -> Iterator[tuple[int, int]]:
+def _state_pairs(states: list[dict[int, None]]) -> Iterator[tuple[int, int]]:
     """(support, packed state) for every state of ``_core_states`` layers."""
     return ((c, state) for c, layer in enumerate(states) for state in layer)
 
@@ -242,27 +225,27 @@ def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) ->
 def _fpf_cores(m: int) -> tuple[tuple[CycleType, int], ...]:
     """(first type, packed state) per distinct core of support m.
 
-    One row per flagged state of ``_core_states(m)`` at support m, so both
-    kinds share the rows; they are sorted by first type in
-    ``fixed_point_free_partitions`` order, largest part first.
+    One row per flagged state, so both kinds share the rows. The order of
+    ``fixed_point_free_partitions`` defines the witness annotation: each
+    row keeps the first type that walk yields with its state, and the rows
+    come in the order of those first types, largest part first.
     """
-    layer = _core_states(m, True, witness=True)[m]
-    rows = sorted(layer.items(), key=itemgetter(1), reverse=True)
-    return tuple((CycleType(parts), state) for state, parts in rows)
+    first: dict[int, CycleType] = {}
+    for ct in fixed_point_free_partitions(m):
+        first.setdefault(_core(ct)[1], ct)
+    return tuple((ct, state) for state, ct in first.items())
 
 
 def moved_class_sizes(kind: GroupKind, i: int) -> Spectrum:
     """Class sizes in V_i of elements that move all i points.
 
-    Read from the cores of support i in ``_fpf_cores``, one ``_sizes``
-    call per core. Empty for i = 1; for Alt only even types are
-    admissible, and a type with no fixed points splits as ``_sizes``
-    states.
+    Read from the cores of support i in ``_fpf_cores``. Empty for i = 1;
+    for Alt only even types are admissible, and a type with no fixed
+    points splits as ``_sizes`` states.
     """
     if i < 0:
         raise DomainError("moved_class_sizes() needs i >= 0")
-    placed = _placements(i)
-    values = [s for _, state in _fpf_cores(i) for s in _sizes(kind, i, placed, i, state)]
+    values = _state_sizes(kind, i, ((i, state) for _, state in _fpf_cores(i)))
     return Spectrum.build(values, kind, i, "moved")
 
 

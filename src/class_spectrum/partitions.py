@@ -95,7 +95,9 @@ def fixed_point_free_partitions(m: int) -> Iterator[CycleType]:
     """Partitions of m with every part >= 2, in the order of ``partitions``.
 
     These are the cycle types of permutations moving all m points of their
-    support; there are none for m = 1.
+    support; there are none for m = 1. This order defines the witness
+    annotation: the cycle type a certificate records beside a class size
+    is the first type of its core that this walk yields.
     """
     if m < 0:
         raise DomainError("fixed_point_free_partitions() needs m >= 0")

@@ -27,7 +27,7 @@ from class_spectrum import (
     psi_set,
     spectrum,
 )
-from class_spectrum.classes import _core, _core_states
+from class_spectrum.classes import _core, _core_states, _fpf_cores
 from oracles import (
     admissible,
     class_sizes_where,
@@ -128,10 +128,12 @@ def test_state_dp_matches_partition_walk(kind, n):
         assert phi_set(kind, n, t).values == phi_by_partitions(kind, n, t), t
 
 
-@pytest.mark.parametrize("m", range(0, 17))
+@pytest.mark.parametrize("m", range(0, 35))
 def test_core_packs_the_state_of_core_states(m):
-    # both producers of the packed state must agree flag for flag; Sym
-    # sizes ignore the flags, so no size comparison would catch a stray one
+    # both producers of packed states, the walk behind _fpf_cores and the
+    # DP behind spectrum and phi_set, must agree flag for flag; Sym sizes
+    # ignore the flags, so no size comparison would catch a stray one.
+    # 34 is the scan's largest residual support (1361 - 1327)
     layer = _core_states(m, True)[m]
     packed = set()
     for lam in fixed_point_free_partitions(m):
@@ -139,6 +141,7 @@ def test_core_packs_the_state_of_core_states(m):
         assert support == m and state in layer, lam
         packed.add(state)
     assert packed == layer.keys()
+    assert {s for _, s in _fpf_cores(m)} == layer.keys()
 
 
 def test_moved_class_sizes_examples():

@@ -1,12 +1,16 @@
+import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from class_spectrum import GroupKind, phi_set
 from class_spectrum import cli
+from class_spectrum.cache import _canonical
 from class_spectrum.cli import dump_json, main
 from class_spectrum.verify import ChainBoundViolation
 
@@ -78,17 +82,33 @@ def test_spectrum_cache_key_ignores_t_outside_phi_and_psi(capsys, tmp_path):
     assert len(list(cache_dir.glob("*.json"))) == 4
 
 
-def test_spectrum_cache_discards_corrupt_entry(capsys, tmp_path):
+def _with_payload(data, payload):
+    # a payload whose checksum matches, so only its shape can reject it
+    return data | {"payload": payload, "checksum": hashlib.sha256(_canonical(payload)).hexdigest()}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda data: data | {"payload": {"values": ["999"]}},
+        lambda data: [1, 2],
+        lambda data: None,
+        lambda data: _with_payload(data, [1, 2]),
+        lambda data: _with_payload(data, "values"),
+    ],
+    ids=["checksum-mismatch", "list-entry", "null-entry", "list-payload", "string-payload"],
+)
+def test_spectrum_cache_discards_corrupt_entry(capsys, tmp_path, corrupt):
     cache_dir = tmp_path / "cache"
     args = ["spectrum", "--kind", "sym", "--n", "5", "--format", "json", "--cache-dir", str(cache_dir)]
     _, cold, _ = run_cli(capsys, *args)
     entry = next(cache_dir.glob("*.json"))
     data = json.loads(entry.read_text())
-    data["payload"]["values"] = ["999"]
-    entry.write_text(json.dumps(data))
+    entry.write_text(json.dumps(corrupt(data)))
     code, healed, _ = run_cli(capsys, *args)
     assert code == 0
     assert healed == cold
+    assert json.loads(entry.read_text()) == data
 
 
 def test_spectrum_cache_env_var(capsys, tmp_path, monkeypatch):
@@ -431,9 +451,12 @@ def test_verify_scan_rejects_jobs_below_one(capsys, tmp_path, jobs):
 
 
 def test_console_script_entry_point():
+    # the child imports the package under test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "class_spectrum.cli", "spectrum", "--kind", "alt", "--n", "5",
          "--format", "json", "--no-cache"],
+        env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
     )
