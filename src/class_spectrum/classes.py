@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .errors import DomainError, EnumerationCapError, InvariantError
 from .partitions import CycleType, fixed_point_free_partitions, is_even
@@ -77,11 +77,11 @@ def _core(ct: CycleType) -> tuple[int, int]:
     """(support, packed state) of the moved part of ct, the parts of length >= 2.
 
     Length-1 parts are fixed points and belong with the padding. The state
-    packs 4z + 2*even + odd-distinct, as ``_core_states`` does: z is the
-    centralizer factor prod(k^m * m!) over the moved parts, the type is
-    even when it has an even number of even-length cycles, and it is
-    odd-distinct when its moved cycles all have odd, pairwise distinct
-    lengths, i.e. exactly when z is odd.
+    packs 2z + even, as ``_core_states`` does: z is the centralizer factor
+    prod(k^m * m!) over the moved parts, and the type is even when it has
+    an even number of even-length cycles. z is odd exactly when every
+    moved length k is odd and occurs once (m = 1), so z's parity also says
+    whether the moved cycles are odd and pairwise distinct.
     """
     c = 0
     z = 1
@@ -89,31 +89,26 @@ def _core(ct: CycleType) -> tuple[int, int]:
         if k >= 2:
             c += k * m
             z *= k**m * math.factorial(m)
-    return c, 4 * z | 2 * is_even(ct) | z & 1
+    return c, 2 * z | is_even(ct)
 
 
-def _placements(n: int) -> Callable[[int], int]:
-    """c -> n!/(n-c)!, the ordered placements of c moved points, each computed once."""
-    return lru_cache(maxsize=None)(partial(math.perm, n))
-
-
-def _sizes(kind: GroupKind, n: int, placed: Callable[[int], int], c: int, state: int) -> tuple[int, ...]:
+def _sizes(kind: GroupKind, n: int, placed: int, c: int, state: int) -> tuple[int, ...]:
     """Class sizes in V_n of a core (support c, packed state) padded by n - c fixed points.
 
-    The state is 4z + 2*even + odd-distinct, as ``_core`` packs it.
-    ``placed`` is ``_placements(n)``, shared by every type of one walk so
-    the per-support factor is computed once. The Sym_n class has
-    n!/((n-c)! * z) elements. In Alt_n (n >= 2) an odd type has no class,
-    giving (). The Sym_n class splits into two equal Alt_n classes exactly
-    when the padded type has all parts odd and pairwise distinct, i.e. the
-    core is odd-distinct and there is at most one fixed point; then both
-    halves are returned.
+    The state is 2z + even, as ``_core`` packs it, and ``placed`` is
+    n!/(n-c)!, the ordered placements of the c moved points. The Sym_n
+    class has n!/((n-c)! * z) elements. In Alt_n (n >= 2) an odd type has
+    no class, giving (). The Sym_n class splits into two equal Alt_n
+    classes exactly when the padded type has all parts odd and pairwise
+    distinct, i.e. z is odd and there is at most one fixed point; then
+    both halves are returned.
     """
     alt = kind is GroupKind.ALT and n >= 2
-    if alt and not state & 2:
+    if alt and not state & 1:
         return ()
-    s = placed(c) // (state >> 2)
-    if alt and state & 1 and n - c <= 1:
+    z = state >> 1
+    s = placed // z
+    if alt and z & 1 and n - c <= 1:
         return (s // 2, s // 2)
     return (s,)
 
@@ -128,7 +123,7 @@ def centralizer_order_sym(ct: CycleType, n: int) -> int:
     if ct.support > n:
         raise DomainError(f"cycle type covers {ct.support} points, exceeding degree {n}")
     c, state = _core(ct)
-    return math.factorial(n - c) * (state >> 2)
+    return math.factorial(n - c) * (state >> 1)
 
 
 def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
@@ -139,7 +134,8 @@ def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
     """
     if ct.support > n:
         raise DomainError(f"cycle type covers {ct.support} points, exceeding degree {n}")
-    sizes = _sizes(kind, n, _placements(n), *_core(ct))
+    c, state = _core(ct)
+    sizes = _sizes(kind, n, math.perm(n, c), c, state)
     if not sizes:
         raise DomainError(f"cycle type {ct} is odd, not in Alt_{n}")
     return list(sizes)
@@ -148,58 +144,40 @@ def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
 def _core_states(m: int, flagged: bool) -> list[dict[int, None]]:
     """Per support c <= m, the packed state of every distinct core of support c.
 
-    Layer c holds each state, packed into one int as 4z + 2*even +
-    odd-distinct as in ``_core``, as a dict key; as sets the layers raised
-    the peak RSS of ``spectrum`` at n = 45 by about 1 MB. Without
-    ``flagged`` (Sym, whose sizes ignore the flags) both flag bits stay 0,
-    so states merge by z alone. The DP takes cycle lengths k = 2..m in
-    ascending order and extends every state of support c by j = 1, 2, ...
-    k-cycles: going from j - 1 to j multiplies z by k*j. Supports are
-    taken from the top down, so a state made for this k is not extended
-    by k again, and equal states merge before any size is divided out.
+    Layer c holds each state, packed as 2z + even as in ``_core``, as a
+    dict key; as sets the layers raised the peak RSS of ``spectrum`` at
+    n = 45 by about 1 MB. Without ``flagged`` (Sym, whose sizes ignore the
+    parity) the parity bit stays 0, so states merge by z alone. The DP
+    takes cycle lengths k = 2..m in ascending order and extends every state
+    of support c by j = 1, 2, ... k-cycles: going from j - 1 to j
+    multiplies z by k*j and, for even k, flips the parity. Supports are
+    taken from the top down, so a state made for this k is not extended by
+    k again, and equal states merge before any size is divided out.
     """
     states: list[dict[int, None]] = [{} for _ in range(m + 1)]
-    states[0][7 if flagged else 4] = None  # the empty type: z = 1, even, odd-distinct
+    states[0][3 if flagged else 2] = None  # the empty type: z = 1, even
     for k in range(2, m + 1):
-        flip = _parity_flip(k, flagged)
+        flip = flagged and k % 2 == 0
         for c in range(m - k, -1, -1):
             for state in states[c]:
-                flags = state & 3
-                z4 = state - flags
-                single = _one_cycle_flags(flags, flip)
-                even_count = flags & 2  # two or more equal cycles are never odd-distinct
-                odd_count = even_count ^ flip
+                z2 = state & ~1
+                even = state & 1
+                odd = even ^ flip
                 for j, d in enumerate(range(c + k, m + 1, k), 1):
-                    z4 *= k * j
-                    new = z4 | (single if j == 1 else odd_count if j % 2 else even_count)
-                    states[d][new] = None
+                    z2 *= k * j
+                    states[d][z2 | (odd if j % 2 else even)] = None
     return states
 
 
-def _state_pairs(states: list[dict[int, None]]) -> Iterator[tuple[int, int]]:
-    """(support, packed state) for every state of ``_core_states`` layers."""
-    return ((c, state) for c, layer in enumerate(states) for state in layer)
+def _layer_sizes(kind: GroupKind, n: int, layers: Iterable[tuple[int, Iterable[int]]]) -> Iterator[int]:
+    """Sizes in V_n of (support c, packed states of support c) layers.
 
-
-def _parity_flip(k: int, flagged: bool) -> int:
-    """The parity bit a k-cycle toggles in a packed state: set for even k."""
-    return 2 if flagged and k % 2 == 0 else 0
-
-
-def _one_cycle_flags(flags: int, flip: int) -> int:
-    """Packed flags after adding one cycle of a length not yet in the type.
-
-    The parity toggles by ``flip``; the type stays odd-distinct only when
-    the new length is odd, i.e. when it does not flip the parity.
+    n!/(n-c)! is computed once per layer and shared by its states.
     """
-    return (flags ^ flip) & (2 if flip else 3)
-
-
-def _state_sizes(kind: GroupKind, n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[int]:
-    """Sizes in V_n of (support, packed state) pairs as ``_core_states`` yields them."""
-    placed = _placements(n)
-    for c, state in pairs:
-        yield from _sizes(kind, n, placed, c, state)
+    for c, states in layers:
+        placed = math.perm(n, c)
+        for state in states:
+            yield from _sizes(kind, n, placed, c, state)
 
 
 def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) -> Spectrum:
@@ -217,18 +195,19 @@ def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) ->
             f"full spectrum at n={n} exceeds the degree cap {cap}; "
             f"pass a cap of at least {n} (--cap {n}, or cap=None in the library) to compute it"
         )
-    pairs = _state_pairs(_core_states(n, kind is GroupKind.ALT))
-    return Spectrum.build(_state_sizes(kind, n, pairs), kind, n, "full")
+    layers = enumerate(_core_states(n, kind is GroupKind.ALT))
+    return Spectrum.build(_layer_sizes(kind, n, layers), kind, n, "full")
 
 
 @lru_cache(maxsize=None)
 def _fpf_cores(m: int) -> tuple[tuple[CycleType, int], ...]:
     """(first type, packed state) per distinct core of support m.
 
-    One row per flagged state, so both kinds share the rows. The order of
-    ``fixed_point_free_partitions`` defines the witness annotation: each
-    row keeps the first type that walk yields with its state, and the rows
-    come in the order of those first types, largest part first.
+    One row per 2z + even state, as ``_core`` packs it, so both kinds share
+    the rows. The order of ``fixed_point_free_partitions`` defines the
+    witness annotation: each row keeps the first type that walk yields
+    with its state, and the rows come in the order of those first types,
+    largest part first.
     """
     first: dict[int, CycleType] = {}
     for ct in fixed_point_free_partitions(m):
@@ -245,7 +224,7 @@ def moved_class_sizes(kind: GroupKind, i: int) -> Spectrum:
     """
     if i < 0:
         raise DomainError("moved_class_sizes() needs i >= 0")
-    values = _state_sizes(kind, i, ((i, state) for _, state in _fpf_cores(i)))
+    values = _layer_sizes(kind, i, [(i, (state for _, state in _fpf_cores(i)))])
     return Spectrum.build(values, kind, i, "moved")
 
 
@@ -257,19 +236,19 @@ def phi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
     """
     if not (2 * t > n and t <= n):
         raise DomainError(f"phi_set needs n/2 < t <= n, got n={n}, t={t}")
-    pairs = _state_pairs(_core_states(n - t, kind is GroupKind.ALT))
+    layers = enumerate(_core_states(n - t, kind is GroupKind.ALT))
     if t >= 2:
         # t > n - t, so the t-cycle is the only cycle of its length
-        flip = _parity_flip(t, kind is GroupKind.ALT)
-        pairs = ((c + t, (state - (state & 3)) * t | _one_cycle_flags(state & 3, flip)) for c, state in pairs)
-    return Spectrum.build(_state_sizes(kind, n, pairs), kind, n, f"phi(t={t})")
+        flip = kind is GroupKind.ALT and t % 2 == 0
+        layers = ((c + t, ((state & ~1) * t | (state & 1) ^ flip for state in layer)) for c, layer in layers)
+    return Spectrum.build(_layer_sizes(kind, n, layers), kind, n, f"phi(t={t})")
 
 
 def psi_members(kind: GroupKind, n: int, t: int) -> Iterator[tuple[int, CycleType]]:
     """(class size, fixed-point-free cycle type) pairs behind psi_set.
 
     Supports m run over 2 <= m <= n - t. Each distinct core of support m,
-    a (first type, packed state) row of ``_fpf_cores``, yields its sizes
+    a (first type, 2z + even state) row of ``_fpf_cores``, yields its sizes
     once, annotated with its first type in ``fixed_point_free_partitions``
     order, and the rows come in the order of those first types. So the
     first pair that yields a size carries the first type, in support and
@@ -279,8 +258,8 @@ def psi_members(kind: GroupKind, n: int, t: int) -> Iterator[tuple[int, CycleTyp
     """
     if t < 0 or t > n:
         raise DomainError(f"psi needs 0 <= t <= n, got n={n}, t={t}")
-    placed = _placements(n)
     for m in range(2, n - t + 1):
+        placed = math.perm(n, m)
         for ct, state in _fpf_cores(m):
             for s in _sizes(kind, n, placed, m, state):
                 yield s, ct

@@ -149,6 +149,12 @@ def _compute_family(args) -> Spectrum:
     return psi_set(args.kind, args.n, args.t)
 
 
+def _is_decimal_list(values) -> bool:
+    # a cached payload passes its checksum whatever its shape; anything but
+    # the list of decimal strings that put wrote is treated as a miss
+    return isinstance(values, list) and all(isinstance(v, str) and v.isascii() and v.isdigit() for v in values)
+
+
 def _cmd_spectrum(args) -> int:
     cache = SpectrumCache(root=args.cache_dir, enabled=not args.no_cache)
     key = {
@@ -161,7 +167,7 @@ def _cmd_spectrum(args) -> int:
         "version": __version__,
     }
     payload = cache.get(key)
-    if payload is None:
+    if payload is None or not _is_decimal_list(payload.get("values")):
         family = _compute_family(args)
         payload = {"values": jsonable(family.values)}
         try:
@@ -336,6 +342,10 @@ def _main(argv: list[str] | None) -> int:
         return args.run(args)
     except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # exit 1 is a FAIL verdict; running out of memory decides nothing
+        print("error: out of memory", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)

@@ -218,6 +218,26 @@ def test_splitting_criterion_matches_oracle(n):
         assert splits == (all(k % 2 == 1 for k in padded) and len(set(padded)) == len(padded))
 
 
+def _odd_distinct(lengths):
+    return all(k % 2 for k in lengths) and len(set(lengths)) == len(lengths)
+
+
+@pytest.mark.parametrize("n", range(9, 31))
+def test_splitting_criterion_past_the_oracle(n):
+    # the class equation cannot see a wrong split, since both halves sum to
+    # the Sym class, and the orbit oracle stops at n = 8
+    for lam in partitions(n):
+        if is_even(lam):
+            assert (len(class_size(ALT, n, lam)) == 2) == _odd_distinct(lam.part_list()), lam
+
+
+@pytest.mark.parametrize("m", range(0, 35))
+def test_centralizer_factor_is_odd_exactly_when_odd_distinct(m):
+    # classes reads the Alt splitting rule off the parity of z
+    for lam in fixed_point_free_partitions(m):
+        assert centralizer_order_sym(lam, m) % 2 == _odd_distinct(lam.part_list()), lam
+
+
 def test_psi_closed_form_equals_order_quotient_parameterization():
     # |Sym_n| / (|Sym_(t+i)| * |B|) over i >= 0, t+i < n-1, B the Sym_m
     # centralizer of a fixed-point-free element of support m = n-t-i
@@ -299,9 +319,7 @@ def test_class_size_divides_group_order(kind, n, data):
 def _core_key(lam):
     # a type's class sizes depend only on its support, centralizer
     # factor, parity and whether its cycles are odd and distinct
-    lengths = lam.part_list()
-    odd_distinct = all(k % 2 for k in lengths) and len(set(lengths)) == len(lengths)
-    return lam.support, centralizer_order_sym(lam, lam.support), is_even(lam), odd_distinct
+    return lam.support, centralizer_order_sym(lam, lam.support), is_even(lam), _odd_distinct(lam.part_list())
 
 
 @pytest.mark.parametrize("kind", KINDS)

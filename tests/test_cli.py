@@ -95,8 +95,20 @@ def _with_payload(data, payload):
         lambda data: None,
         lambda data: _with_payload(data, [1, 2]),
         lambda data: _with_payload(data, "values"),
+        lambda data: _with_payload(data, {}),
+        lambda data: _with_payload(data, {"values": "12"}),
+        lambda data: _with_payload(data, {"values": [12, 15]}),
     ],
-    ids=["checksum-mismatch", "list-entry", "null-entry", "list-payload", "string-payload"],
+    ids=[
+        "checksum-mismatch",
+        "list-entry",
+        "null-entry",
+        "list-payload",
+        "string-payload",
+        "no-values",
+        "string-values",
+        "number-values",
+    ],
 )
 def test_spectrum_cache_discards_corrupt_entry(capsys, tmp_path, corrupt):
     cache_dir = tmp_path / "cache"
@@ -438,6 +450,17 @@ def test_internal_error_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "case", "--n", "100", "--kind", "sym")
     assert code == 2 and out == ""
     assert err == "error: internal invariant failed: direct height 9 exceeds summed bound 8\n"
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # exit 1 means a FAIL verdict; a table too large for memory decides nothing
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "omega_set", exhausted)
+    code, out, err = run_cli(capsys, "omega", "--n", "100000000000")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
