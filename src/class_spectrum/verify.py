@@ -13,6 +13,7 @@ floating-point diagnostics in :mod:`class_spectrum.primes`.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -24,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-from .classes import GroupKind, moved_class_sizes, psi_members
+from .classes import GroupKind, group_order, moved_class_sizes, psi_members
 from .divgraph import EDGES, VERTICES, longest_chain
 from .errors import DomainError, InvariantError
 from .partitions import CycleType
@@ -38,6 +39,9 @@ STRATEGY_DIRECT = "direct-psi-p"
 STRATEGY_R_TRICK = "r-trick"
 
 DEFAULT_SUPPORT_CAP = 60
+
+# jsonable writes a list of ints through their gcd when it has at least this many bits
+SHARED_FACTOR_BITS = 2048
 
 # Reference upper bounds on the summed chain heights, by residual support
 # m = n - t. Kept for cross-checking the computed table; no verdict uses them.
@@ -58,20 +62,66 @@ REFERENCE_CHAIN_BOUNDS = {
 }
 
 
+def _shared_factor(values: Sequence) -> int:
+    """The gcd of a list of two or more ints when it has at least SHARED_FACTOR_BITS bits, else 0.
+
+    The running gcd stops at the first member that is not an int and as
+    soon as it falls below the threshold, so a list of small ints, or one
+    that starts with a small int, costs O(1).
+    """
+    if len(values) < 2:
+        return 0
+    g = 0
+    for v in values:
+        if type(v) is not int:
+            return 0
+        g = math.gcd(g, v)
+        if g.bit_length() < SHARED_FACTOR_BITS:
+            return 0
+    return g
+
+
+def _through_factor(values: Sequence[int], g: int) -> list[str]:
+    """Decimal strings of values that are all multiples of g, converting g only once.
+
+    Converting an int to decimal is quadratic in its digit count, in
+    str(int) and decimal alike, so each value v is written as the exact
+    decimal product g * (v // g): the big conversion, of g, happens once per
+    list, and only the small quotients are converted per value. The context
+    holds any integer exactly and traps Inexact, so a rounded product would
+    raise instead of printing a wrong number. Unlike str(int), decimal is
+    not bound by Python's int/str digit limit, which ``cli.main`` lifts in
+    any case.
+    """
+    import decimal  # here, not at module level: the import costs every command's set-up about 2.5 ms
+
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[decimal.Inexact]
+    )
+    shared = decimal.Decimal(g)
+    return [str(exact.multiply(shared, v // g)) for v in values]
+
+
 def jsonable(obj):
     """The JSON form of a result: every integer inside a list is a decimal string.
 
     Scalars (None, bool, int, float, str) stay as they are, so scalar
     fields remain JSON numbers. A tuple or list becomes a list whose int
     elements are decimal strings, since those hold the big integers (class
-    sizes, witness chains, prime sets). A CycleType becomes its part list
-    of ints, an Enum its value and a dataclass a dict over its fields. A
-    dict keeps its keys, except that a tuple key is joined with "/".
-    Anything else raises TypeError.
+    sizes, witness chains, prime sets). A list of ints that share a factor
+    of at least SHARED_FACTOR_BITS bits, such as a phi family, where every
+    size is n!/((n-t)! t) times a class size of Sym_{n-t}, is written
+    through that factor (``_through_factor``), with the same strings as
+    str(). A CycleType becomes its part list of ints, an Enum its value and
+    a dataclass a dict over its fields. A dict keeps its keys, except that
+    a tuple key is joined with "/". Anything else raises TypeError.
     """
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, (tuple, list)):
+        g = _shared_factor(obj)
+        if g:
+            return _through_factor(obj, g)
         return [str(v) if type(v) is int else jsonable(v) for v in obj]
     if isinstance(obj, CycleType):
         return list(obj.part_list())
@@ -181,9 +231,15 @@ def omega_sweep(start: int, stop: int, table: PrimalityTable | None = None) -> O
 
 @lru_cache(maxsize=None)
 def _moved_heights(kind: GroupKind, i: int) -> tuple[int, int]:
-    """(vertex height, edge height) of the fixed-point-free class sizes of V_i."""
-    values = moved_class_sizes(kind, i).values
-    h, _ = longest_chain(values)
+    """(vertex height, edge height) of the fixed-point-free class sizes of V_i.
+
+    The DP runs on the centralizer orders |V_i| / s rather than on the
+    sizes s: on divisors of |V_i|, x -> |V_i| / x reverses divisibility, so
+    it maps chains to chains of the same length, and the orders are mostly
+    far smaller numbers than the sizes.
+    """
+    order = group_order(kind, i)
+    h, _ = longest_chain(order // s for s in moved_class_sizes(kind, i).values)
     return h, max(h - 1, 0)
 
 

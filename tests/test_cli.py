@@ -485,3 +485,42 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == '{"values":["1","12","15","20"]}'
+
+
+@pytest.mark.parametrize("kind", ["sym", "alt"])
+def test_spectrum_phi_prints_str_of_each_value(capsys, monkeypatch, tmp_path, kind):
+    # phi(1360, 1327) is written through its shared factor; the bytes are those of str()
+    expected = [str(v) for v in phi_set(GroupKind(kind), 1360, 1327).values]
+    printed = {
+        "json": dump_json({"values": expected}) + "\n",
+        "text": "".join(v + "\n" for v in expected),
+        "csv": "value\n" + "".join(v + "\n" for v in expected),
+    }
+    cache_dir = tmp_path / "cache"
+    argv = ["spectrum", "--kind", kind, "--n", "1360", "--family", "phi", "--t", "1327"]
+    assert run_cli(capsys, *argv, "--format", "json", "--cache-dir", str(cache_dir)) == (0, printed["json"], "")
+    (entry,) = cache_dir.glob("*.json")
+    written = entry.read_bytes()
+    assert json.loads(written)["payload"] == {"values": expected}
+
+    def recomputed(args):
+        raise AssertionError("a cache hit must not recompute the family")
+
+    monkeypatch.setattr(cli, "_compute_family", recomputed)
+    for fmt, out in printed.items():
+        assert run_cli(capsys, *argv, "--format", fmt, "--cache-dir", str(cache_dir)) == (0, out, "")
+    assert entry.read_bytes() == written
+
+
+def test_importing_the_cli_leaves_decimal_unloaded():
+    # jsonable imports decimal only for a list with a large shared factor, so
+    # the set-up of every command stays without it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, class_spectrum.cli; print(sorted({'decimal', '_decimal'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"

@@ -1,4 +1,7 @@
 import json
+import math
+import random
+import sys
 
 import pytest
 
@@ -10,6 +13,7 @@ from class_spectrum import (
     PASS,
     REFERENCE_CHAIN_BOUNDS,
     VERTICES,
+    CycleType,
     DomainError,
     GroupKind,
     OmegaSweep,
@@ -17,11 +21,17 @@ from class_spectrum import (
     check_omega_lemma,
     class_size,
     hz_table,
+    longest_chain,
+    moved_class_sizes,
     omega_sweep,
+    phi_set,
+    psi_set,
     scan_range,
     select_r,
     shared_table,
+    spectrum,
 )
+from class_spectrum.verify import SHARED_FACTOR_BITS, jsonable
 
 SYM, ALT = GroupKind.SYM, GroupKind.ALT
 
@@ -315,3 +325,97 @@ def test_reference_bounds_table():
         13: 30,
         18: 69,
     }
+
+
+@pytest.mark.parametrize("kind", [SYM, ALT])
+def test_moved_heights_from_centralizer_orders_match_class_sizes(kind):
+    for i in range(35):
+        h, _ = longest_chain(moved_class_sizes(kind, i).values)
+        assert verify._moved_heights(kind, i) == (h, max(h - 1, 0))
+
+
+@pytest.fixture
+def digits_lifted():
+    # the reference str() of a value past the int/str digit limit needs it lifted
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    yield
+    set_limit(limit)
+
+
+def _plain_strings(values):
+    # the element rule of jsonable without the shared factor
+    return [str(v) if type(v) is int else jsonable(v) for v in values]
+
+
+@pytest.fixture
+def shared_factor_calls(monkeypatch):
+    calls = []
+    through_factor = verify._through_factor
+
+    def counted(values, g):
+        calls.append(g)
+        return through_factor(values, g)
+
+    monkeypatch.setattr(verify, "_through_factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [SYM, ALT])
+@pytest.mark.parametrize("n, t", [(1360, 1327), (1358, 1327), (700, 691), (100, 51)])
+def test_jsonable_phi_families_match_str(digits_lifted, shared_factor_calls, kind, n, t):
+    values = phi_set(kind, n, t).values
+    assert jsonable(values) == [str(v) for v in values]
+    # every size is a multiple of n!/((n-t)! t), or of its half for Alt; the
+    # families whose factor passes the threshold are written through it
+    assert bool(shared_factor_calls) == ((math.perm(n, t) // t).bit_length() > SHARED_FACTOR_BITS)
+
+
+def test_jsonable_alt_phi_family_includes_split_halves():
+    values = phi_set(ALT, 1360, 1327).values
+    sym = set(phi_set(SYM, 1360, 1327).values)
+    assert any(2 * v in sym and v not in sym for v in values)
+
+
+@pytest.mark.parametrize("kind", [SYM, ALT])
+def test_jsonable_psi_and_full_spectrum_match_str(digits_lifted, kind):
+    for family in (psi_set(kind, 1360, 1327), psi_set(kind, 100, 51), spectrum(kind, 45)):
+        assert jsonable(family.values) == [str(v) for v in family.values]
+
+
+def test_jsonable_fabricated_shared_factor_is_exact(digits_lifted, shared_factor_calls):
+    rng = random.Random(14)
+    g = rng.getrandbits(4096) | 1 << 4095
+    quotients = [rng.getrandbits(12000) for _ in range(40)] + [0, 1, -3, -(rng.getrandbits(9000))]
+    values = [g * q for q in quotients]
+    assert jsonable(values) == [str(v) for v in values]
+    assert shared_factor_calls == [g]  # the quotients include 1
+    assert max(len(str(v)) for v in values) > 4300  # past the default digit limit
+
+
+def test_jsonable_other_lists_keep_the_element_rule(digits_lifted, shared_factor_calls):
+    at = 1 << SHARED_FACTOR_BITS - 1  # the smallest factor with SHARED_FACTOR_BITS bits
+    big = at << 100
+    cases = [
+        [big * 3, big * 5, CycleType.from_parts([3, 2, 2])],
+        [big * 3, True, big * 5],
+        (CycleType.from_parts([5]), big, big * 7),
+        [big * 3, big * 5, 1.5],
+        [big * 11],
+        (big,),
+        [],
+        list(range(36000)),
+        [2, big * 3, big * 5],
+        [at // 2 * 3, at // 2 * 5],  # a shared factor one bit short
+    ]
+    for case in cases:
+        assert jsonable(case) == _plain_strings(case)
+    assert jsonable([True, False, 3]) == [True, False, "3"]
+    assert shared_factor_calls == []
+    # with one more bit the same list goes through its factor
+    assert jsonable([at * 3, at * 5]) == [str(at * 3), str(at * 5)]
+    assert shared_factor_calls == [at]
