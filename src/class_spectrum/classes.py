@@ -43,25 +43,16 @@ class Spectrum:
     """A deduplicated, strictly increasing set of class sizes of V_n."""
 
     values: tuple[int, ...]
-    kind: GroupKind
-    n: int
-    label: str
 
     @classmethod
-    def build(cls, values: Iterable[int], kind: GroupKind, n: int, label: str) -> "Spectrum":
+    def build(cls, values: Iterable[int], kind: GroupKind, n: int) -> "Spectrum":
         vals = tuple(sorted(set(values)))
         order = group_order(kind, n)
         for v in vals:
             # Lagrange: every class size divides the group order
             if v < 1 or order % v:
                 raise InvariantError(f"{v} is not a class size of {kind}_{n}")
-        return cls(vals, kind, n, label)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
+        return cls(vals)
 
 
 def group_order(kind: GroupKind, n: int) -> int:
@@ -196,7 +187,7 @@ def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) ->
             f"pass a cap of at least {n} (--cap {n}, or cap=None in the library) to compute it"
         )
     layers = enumerate(_core_states(n, kind is GroupKind.ALT))
-    return Spectrum.build(_layer_sizes(kind, n, layers), kind, n, "full")
+    return Spectrum.build(_layer_sizes(kind, n, layers), kind, n)
 
 
 @lru_cache(maxsize=None)
@@ -225,7 +216,7 @@ def moved_class_sizes(kind: GroupKind, i: int) -> Spectrum:
     if i < 0:
         raise DomainError("moved_class_sizes() needs i >= 0")
     values = _layer_sizes(kind, i, [(i, (state for _, state in _fpf_cores(i)))])
-    return Spectrum.build(values, kind, i, "moved")
+    return Spectrum.build(values, kind, i)
 
 
 def phi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
@@ -241,7 +232,7 @@ def phi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
         # t > n - t, so the t-cycle is the only cycle of its length
         flip = kind is GroupKind.ALT and t % 2 == 0
         layers = ((c + t, ((state & ~1) * t | (state & 1) ^ flip for state in layer)) for c, layer in layers)
-    return Spectrum.build(_layer_sizes(kind, n, layers), kind, n, f"phi(t={t})")
+    return Spectrum.build(_layer_sizes(kind, n, layers), kind, n)
 
 
 def psi_members(kind: GroupKind, n: int, t: int) -> Iterator[tuple[int, CycleType]]:
@@ -272,4 +263,4 @@ def psi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
     C(n, m) * |class in Sym_m| rather than by dividing group orders.
     """
     values = (v for v, _ in psi_members(kind, n, t))
-    return Spectrum.build(values, kind, n, f"psi(t={t})")
+    return Spectrum.build(values, kind, n)

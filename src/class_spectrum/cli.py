@@ -251,10 +251,10 @@ def _cmd_hz_table(args) -> int:
 
 def _cmd_verify_case(args) -> int:
     cert = check_case(args.n, args.kind, support_cap=args.support_cap)
+    d = jsonable(cert)
     if args.format == "json":
-        print(dump_json(cert.to_json_dict()))
+        print(dump_json(d))
     else:
-        d = cert.to_json_dict()
         for key in CSV_FIELDS:
             value = d[key]
             if key == "witness_chain":

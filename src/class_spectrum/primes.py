@@ -9,6 +9,10 @@ one sieve. Each window is crossed off one byte per integer and then packed
 enumerates set bits a byte at a time from a 256-entry offset table, so
 neither does a Python step per integer.
 
+The prime-data functions here and in :mod:`class_spectrum.verify` read one
+module-wide table, ``shared_table``, which is built on first use and
+rebuilt larger whenever a request reaches past its limit.
+
 Every verification-relevant comparison elsewhere in the package uses
 exact integers; the Chebyshev-type constants handled here are
 floating-point diagnostics only.
@@ -159,7 +163,7 @@ class OmegaData:
     count: int
 
 
-def omega_set(n: int, table: PrimalityTable | None = None) -> OmegaData:
+def omega_set(n: int) -> OmegaData:
     """The half-interval prime set for degree n (n >= 3).
 
     The lower bound is strict: for even n the prime n/2 is excluded; t = n
@@ -167,9 +171,7 @@ def omega_set(n: int, table: PrimalityTable | None = None) -> OmegaData:
     """
     if n < 3:
         raise DomainError("omega_set() needs n >= 3")
-    if table is None or table.limit < n:
-        table = shared_table(n)
-    primes = tuple(table.primes_in(n // 2 + 1, n))
+    primes = tuple(shared_table(n).primes_in(n // 2 + 1, n))
     if not primes:
         raise DomainError(f"no prime in ({n}/2, {n}]; sieve inconsistent")
     return OmegaData(n=n, omega=primes, p=primes[-1], count=len(primes))
@@ -205,12 +207,11 @@ class BoundReport:
     gap_bound_holds: bool
 
 
-def bound_report(x: int, table: PrimalityTable | None = None) -> BoundReport:
+def bound_report(x: int) -> BoundReport:
     """Evaluate the pi(x) envelope and the prime-gap bound at x (x > 10)."""
     if x <= 10:
         raise DomainError("bound_report() needs x > 10")
-    if table is None or table.limit < x:
-        table = shared_table(x)
+    table = shared_table(x)
     pi_exact = table.count(x)
     p = table.prev_prime(x)
     if p is None:
@@ -260,7 +261,7 @@ class SweepResult:
     gap_violations: tuple[int, ...]
 
 
-def chebyshev_sweep(lo: int = 10, hi: int = 100_000, table: PrimalityTable | None = None) -> SweepResult:
+def chebyshev_sweep(lo: int = 10, hi: int = 100_000) -> SweepResult:
     """Evaluate the envelope and gap bound for every integer x in (lo, hi].
 
     hi == lo is the empty interval; hi < lo raises DomainError.
@@ -269,8 +270,7 @@ def chebyshev_sweep(lo: int = 10, hi: int = 100_000, table: PrimalityTable | Non
         raise DomainError("sweep domain starts above 10")
     if hi < lo:
         raise DomainError("chebyshev_sweep() needs hi >= lo")
-    if table is None or table.limit < hi:
-        table = shared_table(hi)
+    table = shared_table(hi)
     lower_bad: list[int] = []
     upper_bad: list[int] = []
     gap_bad: list[int] = []

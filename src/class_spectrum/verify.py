@@ -275,27 +275,18 @@ def hz_table(max_m: int, kinds: Sequence[GroupKind] = (GroupKind.SYM, GroupKind.
     return rows
 
 
-def select_r(n: int, table: PrimalityTable | None = None) -> int | None:
-    """The prime r maximizing 2r under p + 1 < 2r <= n, if any.
+def select_r(n: int) -> int | None:
+    """The prime r maximizing 2r under p + 1 < 2r <= n, if any; p is the largest prime <= n.
 
-    Maximizing 2r minimizes the residual support n - 2r. For prime n the
-    window (p+1, n] for 2r is empty, so there is no r.
+    Maximizing 2r minimizes the residual support n - 2r, so r is the
+    largest prime <= n // 2, kept when 2r > p + 1. For prime n, 2r <= n = p,
+    so there is no r.
     """
     if n < 3:
         raise DomainError("select_r() needs n >= 3")
-    if table is None or table.limit < n:
-        table = shared_table(n)
-    p = table.prev_prime(n)
-    if p is None:
-        raise InvariantError(f"no prime <= {n}")
-    lo = (p + 1) // 2 + 1  # smallest r with 2r >= p + 2
-    hi = n // 2
-    if lo > hi:
-        return None
-    r = table.prev_prime(hi)
-    if r is None or r < lo:
-        return None
-    return r
+    table = shared_table(n)
+    r = table.prev_prime(n // 2)
+    return r if r is not None and 2 * r > table.prev_prime(n) + 1 else None
 
 
 @dataclass(frozen=True)
@@ -318,22 +309,15 @@ class Certificate:
     elapsed: float
     reason: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return jsonable(self)
 
-
-def check_case(
-    n: int,
-    kind: GroupKind,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-    table: PrimalityTable | None = None,
-) -> Certificate:
+def check_case(n: int, kind: GroupKind, support_cap: int = DEFAULT_SUPPORT_CAP) -> Certificate:
     """Certify |Omega(n)| > h for the best strategy available at degree n.
 
-    The direct strategy takes t* = p; when select_r finds an r, t* = 2r is
-    also tried. Each candidate builds the small-support class-size family,
-    measures its chain height under both conventions, and records the
-    summed per-support bound. The first candidate evaluated is kept unless
+    p and |Omega(n)| come from check_omega_lemma(n). The direct strategy
+    takes t* = p; when select_r finds an r, t* = 2r is also tried. Each
+    candidate builds the small-support class-size family, measures its
+    chain height under both conventions, and records the summed
+    per-support bound. The first candidate evaluated is kept unless
     a later one has a strictly smaller vertex height, so a tie keeps the
     direct strategy, which is tried first. When support_cap skips every
     candidate the certificate is INDETERMINATE: direct strategy, t* = p,
@@ -345,15 +329,11 @@ def check_case(
     if support_cap < 0:
         raise DomainError(f"check_case() needs support_cap >= 0, got {support_cap}")
     started = time.perf_counter()
-    if table is None or table.limit < n:
-        table = shared_table(n)
-    p = table.prev_prime(n)
-    if p is None:
-        raise InvariantError(f"no prime <= {n}")
-    omega_count = table.count(n) - table.count(n // 2)
+    lemma = check_omega_lemma(n)
+    p, omega_count = lemma.p, lemma.omega_count
 
     candidates: list[tuple[str, int | None, int]] = [(STRATEGY_DIRECT, None, p)]
-    r = select_r(n, table)
+    r = select_r(n)
     if r is not None:
         candidates.append((STRATEGY_R_TRICK, r, 2 * r))
 

@@ -378,7 +378,7 @@ def test_lagrange_check_survives_optimized_mode():
         "from class_spectrum.errors import InvariantError\n"
         "assert False, 'asserts are live'\n"
         "try:\n"
-        "    Spectrum.build((4,), GroupKind.SYM, 3, 'bad')\n"
+        "    Spectrum.build((4,), GroupKind.SYM, 3)\n"
         "except InvariantError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"

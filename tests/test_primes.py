@@ -12,8 +12,11 @@ from class_spectrum import (
     chebyshev_sweep,
     factorial_ratio,
     omega_set,
+    select_r,
+    shared_table,
     sieve,
 )
+from class_spectrum import primes
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -134,7 +137,7 @@ def test_omega_boundaries():
 def test_omega_count_equals_pi_difference():
     table = sieve(2000)
     for n in range(3, 2001):
-        data = omega_set(n, table)
+        data = omega_set(n)
         assert data.count == table.count(n) - table.count(n // 2)
         assert data.count >= 1  # Bertrand, empirically
         assert data.p in data.omega
@@ -214,3 +217,24 @@ def test_sweep_rejects_reversed_interval():
     empty = chebyshev_sweep(100, 100)
     assert empty.checked == 0
     assert empty.lower_violations == empty.upper_violations == empty.gap_violations == ()
+
+
+def test_shared_table_grows_on_demand(monkeypatch):
+    # every prime-data function reads shared_table, so each must grow it
+    # past its first 2^16-entry build when asked about a larger degree
+    monkeypatch.setattr(primes, "_shared", None)
+    small = shared_table(100)
+    assert small.limit == 2**16
+    assert shared_table(50) is small
+    fresh = sieve(200_006)
+    calls = [
+        (200_003, omega_set, lambda data: data.omega == tuple(fresh.primes_in(100_002, 200_003))),
+        (200_003, bound_report, lambda r: (r.pi_exact, r.p) == (fresh.count(200_003), 200_003)),
+        (200_003, select_r, lambda r: r is None and fresh.is_prime(200_003)),
+        (200_006, select_r, lambda r: r == fresh.prev_prime(100_003) == 100_003 > (fresh.prev_prime(200_006) + 1) // 2),
+    ]
+    for n, function, matches in calls:
+        monkeypatch.setattr(primes, "_shared", small)
+        answer = function(n)
+        assert primes._shared.limit == n, function.__name__
+        assert matches(answer), (function.__name__, n)

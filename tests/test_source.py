@@ -70,3 +70,19 @@ def test_no_unreferenced_private_definitions():
                 if d.startswith("_") and not d.startswith("__") and loaded[d] == own
             ]
     assert dead == []
+
+
+def test_only_the_lemma_checks_take_a_table():
+    # every prime-data function reads primes.shared_table; check_omega_lemma
+    # and omega_sweep keep a table parameter because the acceptance suite
+    # (criterion 4) passes them one
+    keep = {"check_omega_lemma", "omega_sweep"}
+    knobs = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name not in keep
+        and "table" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    ]
+    assert knobs == []

@@ -142,7 +142,7 @@ def test_select_r_examples():
 def test_select_r_constraints():
     table = shared_table(1361)
     for n in range(23, 1362):
-        r = select_r(n, table)
+        r = select_r(n)
         p = table.prev_prime(n)
         if r is not None:
             assert table.is_prime(r)
@@ -154,6 +154,16 @@ def test_select_r_constraints():
                 not (table.is_prime(c) and p + 1 < 2 * c)
                 for c in range((p + 1) // 2 + 1, n // 2 + 1)
             )
+
+
+def test_r_trick_wins_strictly_wherever_r_exists():
+    # ties keep the direct strategy, so an "r-trick" certificate at every
+    # degree with an r says h(psi at 2r) < h(psi at p) strictly there: the
+    # fact that lets a scan skip the direct candidate at those degrees
+    report = scan_range(23, 1361, jobs=2)
+    with_r = [cert for cert in report.certificates if select_r(cert.n) is not None]
+    assert len(with_r) == 696 and len(report.certificates) == 2678
+    assert [cert for cert in with_r if cert.strategy != verify.STRATEGY_R_TRICK] == []
 
 
 def test_check_case_examples():
@@ -231,8 +241,8 @@ def test_check_case_takes_r_trick_when_cap_skips_direct():
 
 
 def test_check_case_reruns_identical_except_elapsed():
-    first = check_case(150, ALT).to_json_dict()
-    second = check_case(150, ALT).to_json_dict()
+    first = jsonable(check_case(150, ALT))
+    second = jsonable(check_case(150, ALT))
     first.pop("elapsed")
     second.pop("elapsed")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
@@ -252,7 +262,7 @@ def test_scan_parallel_matches_serial():
     parallel = scan_range(23, 60, jobs=2)
     assert serial.summary_dict() == parallel.summary_dict()
     for a, b in zip(serial.certificates, parallel.certificates):
-        da, db = a.to_json_dict(), b.to_json_dict()
+        da, db = jsonable(a), jsonable(b)
         da.pop("elapsed")
         db.pop("elapsed")
         assert da == db
