@@ -12,13 +12,24 @@ height, cover the input (Mirsky's dual of Dilworth's theorem).
 level j has a chain of divisors through every level below it, and each of
 them divides v. So that highest level is found by bisection over the
 levels, as the piles are in the O(n log n) longest increasing
-subsequence algorithm, with O(log h) level scans per value.
+subsequence algorithm, with O(log h) level probes per value.
+
+A probe is screened by gcds. Each level is stored as consecutive blocks
+of at most BLOCK ascending values, each with the gcd of its members.
+Every member of a block is a multiple of that gcd, so when the gcd does
+not divide v no member does, and one remainder rules the whole block
+out. Only the blocks whose gcd divides v are scanned, in ascending order,
+so the first divisor found is still the level's smallest. Blocks are
+short because the gcd of a whole level soon shrinks to a small number
+that divides almost every value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import indexOf
+from itertools import compress, filterfalse
+from math import gcd
+from operator import not_
 from typing import Iterable
 
 from .errors import DomainError, InvariantError
@@ -26,6 +37,9 @@ from .errors import DomainError, InvariantError
 VERTICES = "vertices"
 EDGES = "edges"
 CONVENTIONS = (VERTICES, EDGES)
+
+# Values per block of a level; each block keeps its gcd as a screen.
+BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -46,12 +60,15 @@ def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """(vertex count, witness) of a maximal divisibility chain.
 
     Values are taken in ascending order, and each level lists its values
-    in ascending order. A value bisects the levels for the highest one
-    that holds one of its divisors, which is sound because holding a
-    divisor is downward closed (see the module docstring); each probe
-    scans one level for its smallest divisor. The value joins the level
-    above (level 0 when no level does). Each level is an antichain, since
-    a value never shares a level with one of its divisors.
+    in ascending order, in blocks of at most BLOCK values that each keep
+    their gcd. A value bisects the levels for the highest one that holds
+    one of its divisors, which is sound because holding a divisor is
+    downward closed (see the module docstring). Each probe takes one
+    remainder per block gcd, and scans only the blocks whose gcd divides
+    the value, for the level's smallest divisor; a block whose gcd does not
+    divide it holds no divisor. The value joins the level above (level 0
+    when no level does). Each level is an antichain, since a value never
+    shares a level with one of its divisors.
 
     Ties are broken deterministically: a value's chain parent is the
     smallest of its divisors whose longest chain is longest, and the
@@ -60,7 +77,8 @@ def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     vals = sorted(set(values))
     if vals and vals[0] < 1:
         raise DomainError("divisibility chains need values >= 1")
-    levels: list[list[int]] = []
+    levels: list[list[list[int]]] = []  # level -> its blocks of ascending values
+    gcds: list[list[int]] = []  # level -> the gcd of each of its blocks
     parent: dict[int, int] = {}
     for v in vals:
         remainder = v.__mod__
@@ -68,23 +86,32 @@ def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
         lo, hi = 0, len(levels)
         while lo < hi:
             mid = (lo + hi) // 2
-            level = levels[mid]
-            try:
-                # the remainder loop runs in C; ValueError means no divisor here
-                divisor = level[indexOf(map(remainder, level), 0)]
-            except ValueError:
-                hi = mid
+            # a block whose gcd leaves a remainder holds no divisor of v; the
+            # others are scanned in order, so the first divisor found is the smallest
+            for block in compress(levels[mid], map(not_, map(remainder, gcds[mid]))):
+                # values are >= 1, so 0 means no member divides v
+                divisor = next(filterfalse(remainder, block), 0)
+                if divisor:
+                    # lo only rises here, so the last divisor found is on level lo - 1
+                    parent[v] = divisor
+                    lo = mid + 1
+                    break
             else:
-                # lo only rises here, so the last divisor found is on level lo - 1
-                parent[v] = divisor
-                lo = mid + 1
+                hi = mid
         if lo == len(levels):
             levels.append([])
-        levels[lo].append(v)
+            gcds.append([])
+        blocks, block_gcds = levels[lo], gcds[lo]
+        if blocks and len(blocks[-1]) < BLOCK:
+            blocks[-1].append(v)
+            block_gcds[-1] = gcd(block_gcds[-1], v)
+        else:
+            blocks.append([v])
+            block_gcds.append(v)
     height = len(levels)
     if not height:
         return 0, ()
-    chain = [levels[-1][0]]
+    chain = [levels[-1][0][0]]
     while chain[-1] in parent:
         chain.append(parent[chain[-1]])
     chain.reverse()

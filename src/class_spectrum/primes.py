@@ -146,10 +146,14 @@ def shared_table(limit: int) -> PrimalityTable:
     """Module-wide table covering at least [0, limit]; grown on demand.
 
     Built once and reused (also inherited read-only by forked workers).
+    The first build covers at least 2^16; a request past the table grows it
+    to at least twice its old limit, so a loop over rising degrees re-sieves
+    logarithmically often rather than once per degree.
     """
     global _shared
     if _shared is None or _shared.limit < limit:
-        _shared = sieve(max(limit, 1 << 16))
+        floor = 1 << 16 if _shared is None else 2 * _shared.limit
+        _shared = sieve(max(limit, floor))
     return _shared
 
 

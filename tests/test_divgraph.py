@@ -32,16 +32,29 @@ values_deep = st.builds(
 )
 
 
+# 30 to 80 values of one octave, none dividing another, each times a smooth
+# factor, mixed with a chain 2^0..2^k: levels far wider than divgraph.BLOCK,
+# whose block gcds share small factors with the values that probe them. One
+# seeded generator draws them, which keeps each example cheap to generate.
+SMOOTH_FACTORS = [2**a * 3**b * 5**c * 7**d for a in range(6) for b in range(4) for c in range(3) for d in range(3)]
+values_wide = st.builds(
+    lambda k, rng: {2**j for j in range(k + 1)}
+    | {m * rng.choice(SMOOTH_FACTORS) for m in rng.sample(range(128, 256), rng.randint(30, 80))},
+    st.integers(0, 20),
+    st.randoms(use_true_random=True),
+)
+
+
 class CountedInt(int):
-    """An int that counts the remainders taken with it as the dividend."""
+    """An int that records the divisors of the remainders taken with it as the dividend."""
 
     def __new__(cls, value):
         self = super().__new__(cls, value)
-        self.remainders = 0
+        self.divisors = []
         return self
 
     def __mod__(self, other):
-        self.remainders += 1
+        self.divisors.append(other)
         return int.__mod__(self, other)
 
 
@@ -148,10 +161,53 @@ def test_matches_quadratic_dp_on_psi_families(kind, n, t):
 def test_bisection_scans_logarithmically_many_levels():
     chain = [2**j for j in range(60)]
     # odd values in one octave: none is divisible by a chain element but 1 or
-    # by another of them, so each joins level 1 after scanning levels 1 and 0
+    # by another of them, so each joins level 1 after probing levels 1 and 0
     odd = [CountedInt(2**60 + 2 * i + 1) for i in range(200)]
     assert longest_chain(chain + odd) == (60, tuple(chain))
+    above_level_1 = set(chain[2:])
     for i, v in enumerate(odd):
-        # level 1 holds 2 and the i odd values before v; level 0 holds 1
-        probes_above_level_1 = v.remainders - (i + 1) - 1
+        # level j >= 2 holds 2^j alone, one block whose gcd 2^j screens it
+        # out with one remainder, so remainders taken against 2^j count probes
+        probes_above_level_1 = sum(d in above_level_1 for d in v.divisors)
         assert probes_above_level_1 <= len(chain).bit_length(), i
+
+
+def test_block_whose_gcd_divides_v_is_scanned():
+    # 6, 10 and 14 share one block of gcd 2, which divides 22 although none of them does
+    v = CountedInt(22)
+    values = [6, 10, 14, v, 66]
+    assert longest_chain(values) == (2, (6, 66))
+    assert v.divisors == [2, 6, 10, 14]
+    assert longest_chain(values) == quadratic_longest_chain(values)
+
+
+def test_smallest_divisor_in_a_later_block():
+    # one octave, so one level: eight multiples of 7 (one block of gcd 7),
+    # then eight multiples of 3 (gcd 3), of which 1056 and 1062 divide v
+    sevens = list(range(1001, 1051, 7))
+    threes = list(range(1053, 1077, 3))
+    v = CountedInt(2**5 * 3**2 * 11 * 59)
+    values = sevens + threes + [v]
+    assert longest_chain(values) == (2, (1056, v))
+    # the first block is skipped on its gcd and the second scanned up to 1056
+    assert v.divisors == [7, 3, 1053, 1056]
+    assert longest_chain(values) == quadratic_longest_chain(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values_wide)
+def test_matches_quadratic_dp_on_wide_levels(values):
+    assert longest_chain(values) == quadratic_longest_chain(values)
+
+
+def test_screen_skips_a_level_coprime_to_v():
+    # 64 multiples of the prime 101 in one octave fill one level of eight
+    # blocks, each of gcd 101; v is coprime to 101, so one remainder per
+    # block rules the whole level out and no member is probed
+    level = [101 * m for m in range(64, 128)]
+    v = CountedInt(2**40 + 1)
+    values = level + [v]
+    assert longest_chain(values) == (1, (level[0],))
+    assert len(v.divisors) <= 8
+    assert not set(v.divisors) & set(level)
+    assert longest_chain(values) == quadratic_longest_chain(values)

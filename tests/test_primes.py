@@ -236,5 +236,27 @@ def test_shared_table_grows_on_demand(monkeypatch):
     for n, function, matches in calls:
         monkeypatch.setattr(primes, "_shared", small)
         answer = function(n)
-        assert primes._shared.limit == n, function.__name__
+        # growth is geometric: at least twice the old limit
+        assert primes._shared.limit == max(n, 2 * small.limit), function.__name__
         assert matches(answer), (function.__name__, n)
+
+
+def test_rising_degrees_rebuild_the_shared_table_logarithmically_often(monkeypatch):
+    # 300 rising degrees past 2^16: the first builds the table at 65,537,
+    # and growing to twice the old limit builds only one more, where growing
+    # to each degree in turn built 300
+    monkeypatch.setattr(primes, "_shared", None)
+    limits = []
+
+    def counted(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(primes, "sieve", counted)
+    answers = [select_r(n) for n in range(65_537, 65_837)]
+    # sieve also recurses for its base primes; only the table builds pass 2^16
+    assert [limit for limit in limits if limit > 2**16] == [65_537, 131_074]
+    fresh = sieve(65_836)
+    for n, r in zip(range(65_537, 65_837), answers):
+        expected = fresh.prev_prime(n // 2)
+        assert r == (expected if 2 * expected > fresh.prev_prime(n) + 1 else None), n
