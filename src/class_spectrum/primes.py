@@ -103,6 +103,22 @@ class PrimalityTable:
             k -= 1
         return None
 
+    def degree_primes(self, n: int) -> tuple[int, int | None, int]:
+        """(p, r, |Omega(n)|) for degree n >= 2.
+
+        p is the largest prime <= n and |Omega(n)| the number of primes in
+        (n/2, n]. r is the largest prime <= n // 2, kept only when
+        2r > p + 1, and None otherwise; for prime n, 2r <= n = p, so there
+        is no r.
+        """
+        if n < 2:
+            raise DomainError(f"degree_primes() needs n >= 2, got {n}")
+        p = self.prev_prime(n)
+        r = self.prev_prime(n // 2)
+        if r is not None and 2 * r <= p + 1:
+            r = None
+        return p, r, self.count(n) - self.count(n // 2)
+
 
 def sieve(limit: int) -> PrimalityTable:
     """Exact primality table for [0, limit], built in 2^20-entry segments.
@@ -145,7 +161,8 @@ _shared: PrimalityTable | None = None
 def shared_table(limit: int) -> PrimalityTable:
     """Module-wide table covering at least [0, limit]; grown on demand.
 
-    Built once and reused (also inherited read-only by forked workers).
+    Built once per process and reused; a forked worker inherits whatever
+    table its parent had built and grows its own copy from there.
     The first build covers at least 2^16; a request past the table grows it
     to at least twice its old limit, so a loop over rising degrees re-sieves
     logarithmically often rather than once per degree.

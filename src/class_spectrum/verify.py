@@ -165,10 +165,7 @@ def check_omega_lemma(n: int, table: PrimalityTable | None = None) -> OmegaCheck
         raise DomainError("check_omega_lemma() needs n >= 3")
     if table is None or table.limit < n:
         table = shared_table(n)
-    p = table.prev_prime(n)
-    if p is None:
-        raise InvariantError(f"no prime <= {n}")
-    count = table.count(n) - table.count(n // 2)
+    p, _, count = table.degree_primes(n)
     ratio = factorial_ratio(n, p)
     return OmegaCheck(
         n=n,
@@ -230,8 +227,8 @@ def omega_sweep(start: int, stop: int, table: PrimalityTable | None = None) -> O
 
 
 @lru_cache(maxsize=None)
-def _moved_heights(kind: GroupKind, i: int) -> tuple[int, int]:
-    """(vertex height, edge height) of the fixed-point-free class sizes of V_i.
+def _moved_heights(kind: GroupKind, i: int) -> int:
+    """Vertex height of the fixed-point-free class sizes of V_i.
 
     The DP runs on the centralizer orders |V_i| / s rather than on the
     sizes s: on divisors of |V_i|, x -> |V_i| / x reverses divisibility, so
@@ -240,7 +237,7 @@ def _moved_heights(kind: GroupKind, i: int) -> tuple[int, int]:
     """
     order = group_order(kind, i)
     h, _ = longest_chain(order // s for s in moved_class_sizes(kind, i).values)
-    return h, max(h - 1, 0)
+    return h
 
 
 @dataclass(frozen=True)
@@ -255,8 +252,9 @@ class HzTableRow:
 def hz_table(max_m: int, kinds: Sequence[GroupKind] = (GroupKind.SYM, GroupKind.ALT)) -> list[HzTableRow]:
     """Rows m = 2..max_m of sum_{i<=m} h(moved class sizes of V_i).
 
-    Both counting conventions are reported; reference bounds are attached
-    where known so mismatching combinations can be listed.
+    Both counting conventions are reported, the edge column from the same
+    per-support vertex heights; reference bounds are attached where known
+    so mismatching combinations can be listed.
     """
     if max_m < 2:
         raise DomainError("hz_table() needs max_m >= 2")
@@ -264,13 +262,9 @@ def hz_table(max_m: int, kinds: Sequence[GroupKind] = (GroupKind.SYM, GroupKind.
     for m in range(2, max_m + 1):
         computed: dict[tuple[GroupKind, str], int] = {}
         for kind in kinds:
-            hv = he = 0
-            for i in range(1, m + 1):
-                v, e = _moved_heights(kind, i)
-                hv += v
-                he += e
-            computed[(kind, VERTICES)] = hv
-            computed[(kind, EDGES)] = he
+            heights = [_moved_heights(kind, i) for i in range(1, m + 1)]
+            computed[(kind, VERTICES)] = sum(heights)
+            computed[(kind, EDGES)] = sum(max(h - 1, 0) for h in heights)
         rows.append(HzTableRow(m=m, reference_bound=REFERENCE_CHAIN_BOUNDS.get(m), computed=computed))
     return rows
 
@@ -279,14 +273,13 @@ def select_r(n: int) -> int | None:
     """The prime r maximizing 2r under p + 1 < 2r <= n, if any; p is the largest prime <= n.
 
     Maximizing 2r minimizes the residual support n - 2r, so r is the
-    largest prime <= n // 2, kept when 2r > p + 1. For prime n, 2r <= n = p,
-    so there is no r.
+    largest prime <= n // 2, kept when 2r > p + 1: the r of
+    ``PrimalityTable.degree_primes``. For prime n, 2r <= n = p, so there
+    is no r.
     """
     if n < 3:
         raise DomainError("select_r() needs n >= 3")
-    table = shared_table(n)
-    r = table.prev_prime(n // 2)
-    return r if r is not None and 2 * r > table.prev_prime(n) + 1 else None
+    return shared_table(n).degree_primes(n)[1]
 
 
 @dataclass(frozen=True)
@@ -313,27 +306,25 @@ class Certificate:
 def check_case(n: int, kind: GroupKind, support_cap: int = DEFAULT_SUPPORT_CAP) -> Certificate:
     """Certify |Omega(n)| > h for the best strategy available at degree n.
 
-    p and |Omega(n)| come from check_omega_lemma(n). The direct strategy
-    takes t* = p; when select_r finds an r, t* = 2r is also tried. Each
-    candidate builds the small-support class-size family, measures its
-    chain height under both conventions, and records the summed
-    per-support bound. The first candidate evaluated is kept unless
-    a later one has a strictly smaller vertex height, so a tie keeps the
-    direct strategy, which is tried first. When support_cap skips every
-    candidate the certificate is INDETERMINATE: direct strategy, t* = p,
-    height 0, an empty witness, and the skip reasons as its reason. A
-    negative support_cap raises DomainError.
+    p, r and |Omega(n)| come from one ``degree_primes(n)`` query on the
+    shared table. The direct strategy takes t* = p; when there is an r,
+    t* = 2r is also tried. Each candidate builds the small-support
+    class-size family, measures its chain height under both conventions,
+    and records the summed per-support bound. The first candidate
+    evaluated is kept unless a later one has a strictly smaller vertex
+    height, so a tie keeps the direct strategy, which is tried first. When
+    support_cap skips every candidate the certificate is INDETERMINATE:
+    direct strategy, t* = p, height 0, an empty witness, and the skip
+    reasons as its reason. A negative support_cap raises DomainError.
     """
     if n < 23:
         raise DomainError("check_case() covers degrees n >= 23")
     if support_cap < 0:
         raise DomainError(f"check_case() needs support_cap >= 0, got {support_cap}")
     started = time.perf_counter()
-    lemma = check_omega_lemma(n)
-    p, omega_count = lemma.p, lemma.omega_count
+    p, r, omega_count = shared_table(n).degree_primes(n)
 
     candidates: list[tuple[str, int | None, int]] = [(STRATEGY_DIRECT, None, p)]
-    r = select_r(n)
     if r is not None:
         candidates.append((STRATEGY_R_TRICK, r, 2 * r))
 
@@ -350,7 +341,7 @@ def check_case(n: int, kind: GroupKind, support_cap: int = DEFAULT_SUPPORT_CAP) 
         for value, ct in psi_members(kind, n, t_star):
             members.setdefault(value, ct)
         h_value, witness = longest_chain(members.keys())
-        h_sum = sum(_moved_heights(kind, i)[0] for i in range(1, m + 1))
+        h_sum = sum(_moved_heights(kind, i) for i in range(1, m + 1))
         if h_value > h_sum:
             raise ChainBoundViolation(
                 f"n={n} kind={kind} {strategy}: direct height {h_value} exceeds "
@@ -455,16 +446,15 @@ def scan_range(
 ) -> ScanReport:
     """Run check_case over [start, stop] x kinds, optionally in parallel.
 
-    The primality table and the per-support chain heights are built before
-    any fan-out so forked workers inherit them read-only; building the
-    heights also fills ``classes._fpf_cores``, the per-support core rows
-    that every ``psi_members`` call reads. The pool never
-    holds more workers than there are tasks or CPUs. It takes the tasks
-    in chunks of four from the highest degree down, so the costliest
-    degrees start first instead of arriving together in the last chunk.
-    Certificates are sorted by (n, kind); the aggregate does not depend on
-    scheduling. A negative support_cap, jobs below 1 or a repeated kind
-    raises DomainError.
+    Each process, the caller or a forked worker, grows the shared
+    primality table and fills the per-support chain heights and
+    ``classes._fpf_cores`` lazily, as its own check_case calls first need
+    them. The pool never holds more workers than there are tasks or CPUs.
+    It takes the tasks in chunks of four from the highest degree down, so
+    the costliest degrees start first instead of arriving together in the
+    last chunk. Certificates are sorted by (n, kind); the aggregate does
+    not depend on scheduling. A negative support_cap, jobs below 1 or a
+    repeated kind raises DomainError.
     """
     if not 23 <= start <= stop:
         raise DomainError("scan_range() needs 23 <= start <= stop")
@@ -475,18 +465,6 @@ def scan_range(
     kinds = tuple(kinds)
     if len(set(kinds)) < len(kinds):
         raise DomainError(f"scan_range() needs distinct kinds, got {', '.join(map(str, kinds))}")
-    table = shared_table(stop)
-    max_m = 0
-    for n in range(start, stop + 1):
-        p = table.prev_prime(n)
-        if p is None:
-            raise InvariantError(f"no prime <= {n}")
-        max_m = max(max_m, n - p)
-    max_m = min(max_m, support_cap)
-    for kind in kinds:
-        for i in range(1, max_m + 1):
-            _moved_heights(kind, i)
-
     tasks = [(n, kind.value, support_cap) for n in range(start, stop + 1) for kind in kinds]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -112,6 +113,40 @@ def test_prev_prime():
     assert table.prev_prime(97) == 97
     assert table.prev_prime(2) == 2
     assert table.prev_prime(1) is None
+
+
+def _degree_primes_from_list(primes, n):
+    # primes = table.primes_in(2, limit): p is its last prime <= n, r its last
+    # prime <= n // 2 (kept when 2r > p + 1), and Omega(n) the slice between
+    k = bisect.bisect_right(primes, n)
+    h = bisect.bisect_right(primes, n // 2)
+    p = primes[k - 1]
+    r = primes[h - 1] if h and 2 * primes[h - 1] > p + 1 else None
+    return p, r, len(primes[h:k])
+
+
+def test_degree_primes_matches_prime_lists():
+    table = sieve(20000)
+    primes = table.primes_in(2, 20000)
+    for n in range(3, 20001):
+        assert table.degree_primes(n) == _degree_primes_from_list(primes, n), n
+    for n in range(3, 20001, 97):
+        # the slice is the primes_in list of (n/2, n] itself
+        omega = primes[bisect.bisect_right(primes, n // 2) : bisect.bisect_right(primes, n)]
+        assert omega == table.primes_in(n // 2 + 1, n), n
+    # n = 6 is the smallest degree with 2r = p + 1 (p = 5, r = 3): no r
+    assert table.degree_primes(6) == (5, None, 1)
+    assert table.degree_primes(26) == (23, 13, 3)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 6, 10, 26, 97, 100])
+def test_degree_primes_at_the_limit_of_a_small_sieve(limit):
+    table = sieve(limit)
+    assert table.degree_primes(limit) == _degree_primes_from_list(table.primes_in(2, limit), limit)
+    with pytest.raises(DomainError):
+        table.degree_primes(limit + 1)
+    with pytest.raises(DomainError):
+        table.degree_primes(1)
 
 
 def test_omega_examples():

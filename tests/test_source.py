@@ -86,3 +86,18 @@ def test_only_the_lemma_checks_take_a_table():
         and "table" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
     ]
     assert knobs == []
+
+
+def test_degree_facts_come_from_the_table_query():
+    # p, r and |Omega(n)| reach verify.py and cli.py through
+    # PrimalityTable.degree_primes alone, never through their own
+    # prev_prime or count calls
+    calls = [
+        f"{name}:{node.lineno} .{node.func.attr}"
+        for name in ("verify.py", "cli.py")
+        for node in ast.walk(TREES[name])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"prev_prime", "count"}
+    ]
+    assert calls == []

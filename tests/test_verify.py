@@ -166,6 +166,21 @@ def test_r_trick_wins_strictly_wherever_r_exists():
     assert [cert for cert in with_r if cert.strategy != verify.STRATEGY_R_TRICK] == []
 
 
+def test_certificates_agree_with_the_lemma_and_select_r():
+    # check_case reads p, r and |Omega(n)| from one degree_primes query, and
+    # calls neither one-degree API; every certificate must agree with both
+    report = scan_range(23, 400)
+    assert len(report.certificates) == 2 * (400 - 23 + 1)
+    for cert in report.certificates:
+        lemma = check_omega_lemma(cert.n)
+        r = select_r(cert.n)
+        assert cert.omega_count == lemma.omega_count
+        if cert.strategy == verify.STRATEGY_R_TRICK:
+            assert r is not None and (cert.r, cert.t_star) == (r, 2 * r)
+        else:
+            assert (cert.r, cert.t_star) == (None, lemma.p)
+
+
 def test_check_case_examples():
     cert = check_case(23, ALT)
     assert cert.verdict == PASS
@@ -341,7 +356,7 @@ def test_reference_bounds_table():
 def test_moved_heights_from_centralizer_orders_match_class_sizes(kind):
     for i in range(35):
         h, _ = longest_chain(moved_class_sizes(kind, i).values)
-        assert verify._moved_heights(kind, i) == (h, max(h - 1, 0))
+        assert verify._moved_heights(kind, i) == h
 
 
 @pytest.fixture
