@@ -1,9 +1,13 @@
-"""Persistent cache for computed spectra, keyed by operation parameters.
+"""Persistent cache for spectrum value lists, keyed by operation parameters.
 
-Entries are JSON files named by a hash of their key. Payloads carry a
-checksum that is verified on read; a corrupt or mismatching entry is
-discarded and recomputed. Writes go through a temporary file and an atomic
-rename, so concurrent readers never observe partial entries.
+An entry is a file named by a hash of its key. It holds three parts, each
+ended by a newline except the last: the key as one canonical JSON line, the
+sha256 of the body in hex, and the body, one decimal value per line (empty
+for an empty family). A read hashes the body bytes it read, compares the
+key line and checks that every line is ASCII digits; an entry that fails a
+check is discarded, and one that cannot be read or split is a miss, so the
+caller recomputes either way. Writes go through a temporary file and an
+atomic rename, so concurrent readers never observe partial entries.
 """
 
 from __future__ import annotations
@@ -31,29 +35,31 @@ def _canonical(obj) -> bytes:
 
 
 class SpectrumCache:
-    """File-backed key/payload store with checksum validation."""
+    """File-backed store of decimal-string lists, each checksummed over the bytes written."""
 
     def __init__(self, root: Path | None = None, enabled: bool = True):
         self.root = Path(root) if root is not None else default_cache_dir()
         self.enabled = enabled
 
     def _path(self, key: dict) -> Path:
+        # still .json: an entry in the older JSON format fails the key-line check and is replaced, not orphaned
         digest = hashlib.sha256(_canonical(key)).hexdigest()
         return self.root / f"{digest}.json"
 
-    def get(self, key: dict) -> dict | None:
+    def get(self, key: dict) -> list[str] | None:
         if not self.enabled:
             return None
         path = self._path(key)
         try:
-            entry = json.loads(path.read_text())
+            head, digest, body = path.read_bytes().split(b"\n", 2)
         except (OSError, ValueError):
             return None
-        payload = entry.get("payload") if isinstance(entry, dict) else None
+        lines = body.split(b"\n") if body else []
+        # bytes.isdigit is ASCII-only and false on an empty line
         if (
-            not isinstance(payload, dict)
-            or entry.get("key") != key
-            or entry.get("checksum") != hashlib.sha256(_canonical(payload)).hexdigest()
+            head != _canonical(key)
+            or digest != hashlib.sha256(body).hexdigest().encode()
+            or not all(map(bytes.isdigit, lines))
         ):
             # corrupt, stale or malformed entry: drop it so the caller recomputes
             try:
@@ -61,21 +67,17 @@ class SpectrumCache:
             except OSError:
                 pass
             return None
-        return payload
+        return [line.decode() for line in lines]
 
-    def put(self, key: dict, payload: dict) -> None:
+    def put(self, key: dict, values: list[str]) -> None:
         if not self.enabled:
             return
-        entry = {
-            "key": key,
-            "checksum": hashlib.sha256(_canonical(payload)).hexdigest(),
-            "payload": payload,
-        }
+        body = "\n".join(values).encode()
         self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True, indent=2)
+            with os.fdopen(fd, "wb") as handle:
+                handle.writelines((_canonical(key), b"\n", hashlib.sha256(body).hexdigest().encode(), b"\n", body))
             os.replace(tmp, self._path(key))
         except BaseException:
             try:

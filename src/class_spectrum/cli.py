@@ -149,12 +149,6 @@ def _compute_family(args) -> Spectrum:
     return psi_set(args.kind, args.n, args.t)
 
 
-def _is_decimal_list(values) -> bool:
-    # a cached payload passes its checksum whatever its shape; anything but
-    # the list of decimal strings that put wrote is treated as a miss
-    return isinstance(values, list) and all(isinstance(v, str) and v.isascii() and v.isdigit() for v in values)
-
-
 def _cmd_spectrum(args) -> int:
     cache = SpectrumCache(root=args.cache_dir, enabled=not args.no_cache)
     key = {
@@ -166,25 +160,21 @@ def _cmd_spectrum(args) -> int:
         "cap": args.cap if args.family == "full" else None,
         "version": __version__,
     }
-    payload = cache.get(key)
-    if payload is None or not _is_decimal_list(payload.get("values")):
-        family = _compute_family(args)
-        payload = {"values": jsonable(family.values)}
+    values = cache.get(key)
+    if values is None:
+        values = jsonable(_compute_family(args).values)
         try:
-            cache.put(key, payload)
+            cache.put(key, values)
         except OSError as exc:
             # the values are computed; an unwritable cache only costs the next call a recompute
             print(f"warning: spectrum cache not written: {exc}", file=sys.stderr)
-    values = payload["values"]
     if args.format == "json":
         print(dump_json({"values": values}))
-    elif args.format == "csv":
+        return 0
+    if args.format == "csv":
         print("value")
-        for v in values:
-            print(v)
-    else:
-        for v in values:
-            print(v)
+    for v in values:
+        print(v)
     return 0
 
 

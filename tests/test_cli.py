@@ -10,7 +10,7 @@ import pytest
 
 from class_spectrum import GroupKind, phi_set
 from class_spectrum import cli
-from class_spectrum.cache import _canonical
+from class_spectrum.cache import SpectrumCache
 from class_spectrum.cli import dump_json, main
 from class_spectrum.verify import ChainBoundViolation
 
@@ -82,22 +82,43 @@ def test_spectrum_cache_key_ignores_t_outside_phi_and_psi(capsys, tmp_path):
     assert len(list(cache_dir.glob("*.json"))) == 4
 
 
-def _with_payload(data, payload):
-    # a payload whose checksum matches, so only its shape can reject it
-    return data | {"payload": payload, "checksum": hashlib.sha256(_canonical(payload)).hexdigest()}
+def _signed(body):
+    # the entry's own key line over a body with a matching checksum, so only the body's lines can reject it
+    def corrupt(entry, other):
+        head = entry.split(b"\n", 1)[0]
+        return b"\n".join((head, hashlib.sha256(body).hexdigest().encode(), body))
+
+    return corrupt
+
+
+def _older_json_format(entry, other):
+    # an entry as the JSON-document cache wrote it, valid in that format, at the same path
+    head, _, body = entry.split(b"\n", 2)
+    payload = {"values": body.decode().split("\n")}
+    checksum = hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    return json.dumps({"key": json.loads(head), "checksum": checksum, "payload": payload}, sort_keys=True, indent=2).encode()
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda data: data | {"payload": {"values": ["999"]}},
-        lambda data: [1, 2],
-        lambda data: None,
-        lambda data: _with_payload(data, [1, 2]),
-        lambda data: _with_payload(data, "values"),
-        lambda data: _with_payload(data, {}),
-        lambda data: _with_payload(data, {"values": "12"}),
-        lambda data: _with_payload(data, {"values": [12, 15]}),
+        lambda entry, other: b"\n".join(entry.split(b"\n", 2)[:2] + [b"999"]),
+        lambda entry, other: b"[1, 2]",
+        lambda entry, other: b"null",
+        _signed(b"[1, 2]"),
+        _signed(b"values"),
+        lambda entry, other: b"\n".join(entry.split(b"\n", 2)[:2]),
+        _signed(b'"1"\n"10"'),
+        _signed(b"1.0\n10"),
+        _older_json_format,
+        lambda entry, other: other,
+        lambda entry, other: entry[: len(entry) // 2],
+        lambda entry, other: entry[:-1],
+        lambda entry, other: entry[:-1] + bytes([entry[-1] ^ 1]),
+        _signed(b"1\n\n10"),
+        _signed(b"1\n10\n"),
+        _signed(b"1\n1O\n15"),
+        _signed("1\n\u0661\u0660".encode()),
     ],
     ids=[
         "checksum-mismatch",
@@ -108,19 +129,30 @@ def _with_payload(data, payload):
         "no-values",
         "string-values",
         "number-values",
+        "older-json-format",
+        "other-key",
+        "truncated-checksum",
+        "truncated-body",
+        "flipped-body-byte",
+        "blank-line",
+        "trailing-blank-line",
+        "non-digit-line",
+        "non-ascii-digits",
     ],
 )
 def test_spectrum_cache_discards_corrupt_entry(capsys, tmp_path, corrupt):
     cache_dir = tmp_path / "cache"
     args = ["spectrum", "--kind", "sym", "--n", "5", "--format", "json", "--cache-dir", str(cache_dir)]
     _, cold, _ = run_cli(capsys, *args)
-    entry = next(cache_dir.glob("*.json"))
-    data = json.loads(entry.read_text())
-    entry.write_text(json.dumps(corrupt(data)))
+    (entry,) = cache_dir.glob("*.json")
+    written = entry.read_bytes()
+    run_cli(capsys, "spectrum", "--kind", "alt", "--n", "5", "--cache-dir", str(tmp_path / "other"))
+    (other,) = (tmp_path / "other").glob("*.json")
+    entry.write_bytes(corrupt(written, other.read_bytes()))
     code, healed, _ = run_cli(capsys, *args)
     assert code == 0
     assert healed == cold
-    assert json.loads(entry.read_text()) == data
+    assert entry.read_bytes() == written
 
 
 def test_spectrum_cache_env_var(capsys, tmp_path, monkeypatch):
@@ -487,6 +519,25 @@ def test_console_script_entry_point():
     assert proc.stdout.strip() == '{"values":["1","12","15","20"]}'
 
 
+def _not_recomputed(args):
+    raise AssertionError("a cache hit must not recompute the family")
+
+
+@pytest.mark.parametrize("kind", ["sym", "alt"])
+@pytest.mark.parametrize(
+    "family", [["--family", "moved", "--n", "1"], ["--family", "psi", "--n", "5", "--t", "4"]], ids=["moved", "psi"]
+)
+def test_spectrum_cache_round_trips_an_empty_family(capsys, monkeypatch, tmp_path, kind, family):
+    # an empty family is stored as an entry with an empty body
+    argv = ["spectrum", "--kind", kind, *family, "--format", "json", "--cache-dir", str(tmp_path)]
+    assert run_cli(capsys, *argv) == (0, '{"values":[]}\n', "")
+    (entry,) = tmp_path.glob("*.json")
+    written = entry.read_bytes()
+    monkeypatch.setattr(cli, "_compute_family", _not_recomputed)
+    assert run_cli(capsys, *argv) == (0, '{"values":[]}\n', "")
+    assert entry.read_bytes() == written
+
+
 @pytest.mark.parametrize("kind", ["sym", "alt"])
 def test_spectrum_phi_prints_str_of_each_value(capsys, monkeypatch, tmp_path, kind):
     # phi(1360, 1327) is written through its shared factor; the bytes are those of str()
@@ -501,12 +552,11 @@ def test_spectrum_phi_prints_str_of_each_value(capsys, monkeypatch, tmp_path, ki
     assert run_cli(capsys, *argv, "--format", "json", "--cache-dir", str(cache_dir)) == (0, printed["json"], "")
     (entry,) = cache_dir.glob("*.json")
     written = entry.read_bytes()
-    assert json.loads(written)["payload"] == {"values": expected}
+    key = json.loads(written.split(b"\n", 1)[0])
+    assert (key["family"], key["kind"], key["n"], key["t"]) == ("phi", kind, 1360, 1327)
+    assert SpectrumCache(cache_dir).get(key) == expected
 
-    def recomputed(args):
-        raise AssertionError("a cache hit must not recompute the family")
-
-    monkeypatch.setattr(cli, "_compute_family", recomputed)
+    monkeypatch.setattr(cli, "_compute_family", _not_recomputed)
     for fmt, out in printed.items():
         assert run_cli(capsys, *argv, "--format", fmt, "--cache-dir", str(cache_dir)) == (0, out, "")
     assert entry.read_bytes() == written
