@@ -38,7 +38,8 @@ class SpectrumCache:
     """File-backed store of decimal-string lists, each checksummed over the bytes written."""
 
     def __init__(self, root: Path | None = None, enabled: bool = True):
-        self.root = Path(root) if root is not None else default_cache_dir()
+        # a disabled cache never looks up the default directory, whose lookup may need a home directory
+        self.root = Path(root) if root is not None else default_cache_dir() if enabled else None
         self.enabled = enabled
 
     def _path(self, key: dict) -> Path:

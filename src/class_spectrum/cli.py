@@ -31,7 +31,7 @@ from .classes import (
     psi_set,
     spectrum,
 )
-from .divgraph import CONVENTIONS, VERTICES, height
+from .divgraph import CONVENTIONS, EDGES, VERTICES, longest_chain
 from .errors import DomainError, InvariantError
 from .primes import bound_report, factorial_ratio, omega_set
 from .verify import (
@@ -150,7 +150,12 @@ def _compute_family(args) -> Spectrum:
 
 
 def _cmd_spectrum(args) -> int:
-    cache = SpectrumCache(root=args.cache_dir, enabled=not args.no_cache)
+    try:
+        cache = SpectrumCache(root=args.cache_dir, enabled=not args.no_cache)
+    except RuntimeError as exc:
+        # no home directory to hold the default cache: the values are still computed and printed
+        print(f"warning: spectrum cache not used: {exc}", file=sys.stderr)
+        cache = SpectrumCache(enabled=False)
     key = {
         "op": "spectrum",
         "family": args.family,
@@ -179,14 +184,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_height(args) -> int:
-    values = []
-    for line in args.input.read_text().splitlines():
-        line = line.strip()
-        if line:
-            values.append(int(line))
-    result = height(values, args.convention)
-    print(result.height)
-    print("witness:", " ".join(str(v) for v in result.witness))
+    lines = map(str.strip, args.input.read_text().splitlines())
+    h, witness = longest_chain(int(text) for text in lines if text)
+    print(max(h - 1, 0) if args.convention == EDGES else h)
+    print("witness:", " ".join(str(v) for v in witness))
     return 0
 
 
@@ -263,6 +264,20 @@ def _cmd_verify_scan(args) -> int:
         support_cap=args.support_cap,
     )
     summary = report.summary_dict()
+    # every file is written before any line is printed, so a failed write leaves stdout empty
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / "summary.json").write_text(dump_json(summary, compact=False) + "\n")
+        with (
+            (args.out / "certificates.csv").open("w", newline="") as csv_handle,
+            (args.out / "certificates.jsonl").open("w") as jsonl_handle,
+        ):
+            writer = csv.writer(csv_handle)
+            writer.writerow(CSV_FIELDS)
+            for cert in report.certificates:
+                record = jsonable(cert)
+                writer.writerow(certificate_csv_row(record))
+                jsonl_handle.write(dump_json(record) + "\n")
     counts = report.counts
     print(
         f"scanned n in [{report.start}, {report.stop}] "
@@ -279,19 +294,6 @@ def _cmd_verify_scan(args) -> int:
             f"witness={'|'.join(problem['witness_chain']) or '-'} reason={problem['reason'] or '-'}"
         )
     print(f"RESULT: {'PASS' if report.all_passed else 'FAIL'}")
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "summary.json").write_text(dump_json(summary, compact=False) + "\n")
-        with (
-            (args.out / "certificates.csv").open("w", newline="") as csv_handle,
-            (args.out / "certificates.jsonl").open("w") as jsonl_handle,
-        ):
-            writer = csv.writer(csv_handle)
-            writer.writerow(CSV_FIELDS)
-            for cert in report.certificates:
-                record = jsonable(cert)
-                writer.writerow(certificate_csv_row(record))
-                jsonl_handle.write(dump_json(record) + "\n")
     return 0 if report.all_passed else 1
 
 

@@ -34,6 +34,8 @@ from typing import Iterable
 
 from .errors import DomainError, InvariantError
 
+# Height conventions: VERTICES counts a chain's values, EDGES its steps
+# (one less, and 0 for an empty input).
 VERTICES = "vertices"
 EDGES = "edges"
 CONVENTIONS = (VERTICES, EDGES)
@@ -42,6 +44,9 @@ CONVENTIONS = (VERTICES, EDGES)
 BLOCK = 8
 
 
+# `height` and `ChainResult` are not exported; they stay only because
+# perfbench/tests/test_helpers.py calls `divgraph.height`. Delete both when
+# that test calls `longest_chain` instead (ROADMAP item 1).
 @dataclass(frozen=True)
 class ChainResult:
     """A maximal divisibility chain and its length under one convention.

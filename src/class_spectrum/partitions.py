@@ -12,9 +12,6 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError
 
-EVEN = "even"
-ODD = "odd"
-
 
 @dataclass(frozen=True)
 class CycleType:
@@ -129,14 +126,10 @@ def _from_desc(desc: tuple[int, ...]) -> CycleType:
     return CycleType(tuple(pairs))
 
 
-def parity(ct: CycleType) -> str:
-    """Sign of a permutation with this cycle type: EVEN or ODD.
+def is_even(ct: CycleType) -> bool:
+    """Whether a permutation with this cycle type is even.
 
     A k-cycle is a product of k - 1 transpositions, so only even-length
     cycles contribute.
     """
-    return EVEN if is_even(ct) else ODD
-
-
-def is_even(ct: CycleType) -> bool:
     return sum(m for k, m in ct.parts if k % 2 == 0) % 2 == 0

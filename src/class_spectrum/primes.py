@@ -109,7 +109,8 @@ class PrimalityTable:
         p is the largest prime <= n and |Omega(n)| the number of primes in
         (n/2, n]. r is the largest prime <= n // 2, kept only when
         2r > p + 1, and None otherwise; for prime n, 2r <= n = p, so there
-        is no r.
+        is no r. So r maximizes 2r under p + 1 < 2r <= n, which minimizes
+        the r-trick's residual support n - 2r.
         """
         if n < 2:
             raise DomainError(f"degree_primes() needs n >= 2, got {n}")

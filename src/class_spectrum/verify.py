@@ -269,19 +269,6 @@ def hz_table(max_m: int, kinds: Sequence[GroupKind] = (GroupKind.SYM, GroupKind.
     return rows
 
 
-def select_r(n: int) -> int | None:
-    """The prime r maximizing 2r under p + 1 < 2r <= n, if any; p is the largest prime <= n.
-
-    Maximizing 2r minimizes the residual support n - 2r, so r is the
-    largest prime <= n // 2, kept when 2r > p + 1: the r of
-    ``PrimalityTable.degree_primes``. For prime n, 2r <= n = p, so there
-    is no r.
-    """
-    if n < 3:
-        raise DomainError("select_r() needs n >= 3")
-    return shared_table(n).degree_primes(n)[1]
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Machine-checkable record of one degree's verification outcome."""

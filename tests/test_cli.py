@@ -173,6 +173,25 @@ def test_spectrum_survives_unwritable_cache(capsys, tmp_path):
     assert blocker.read_text() == ""
 
 
+def test_spectrum_without_a_home_directory(capsys, monkeypatch):
+    # the default cache directory needs a home directory when neither
+    # CLASS_SPECTRUM_CACHE nor XDG_CACHE_HOME is set
+    for name in ("HOME", "XDG_CACHE_HOME", "CLASS_SPECTRUM_CACHE"):
+        monkeypatch.delenv(name, raising=False)
+
+    def no_home(cls):
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.setattr(Path, "home", classmethod(no_home))
+    args = ["spectrum", "--kind", "sym", "--n", "5", "--format", "json"]
+    expected = '{"values":["1","10","15","20","24","30"]}\n'
+    # --no-cache never looks the directory up
+    assert run_cli(capsys, *args, "--no-cache") == (0, expected, "")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (0, expected)
+    assert err == "warning: spectrum cache not used: Could not determine home directory.\n"
+
+
 def test_height_from_file(capsys, tmp_path):
     chain = tmp_path / "chain.txt"
     chain.write_text("2\n4\n8\n16\n")
@@ -181,7 +200,16 @@ def test_height_from_file(capsys, tmp_path):
     assert out.splitlines()[0] == "4"
     code, out, _ = run_cli(capsys, "height", "--input", str(chain), "--convention", "edges")
     assert code == 0
-    assert out.splitlines()[0] == "3"
+    assert out == "3\nwitness: 2 4 8 16\n"
+    # an empty input and a single value have no steps
+    for text, witness in [("", ""), ("\n7\n\n", "7")]:
+        chain.write_text(text)
+        for convention, h in [("vertices", len(witness.split())), ("edges", 0)]:
+            code, out, _ = run_cli(capsys, "height", "--input", str(chain), "--convention", convention)
+            assert (code, out) == (0, f"{h}\nwitness: {witness}\n"), (text, convention)
+    code, out, err = run_cli(capsys, "height", "--input", str(chain), "--convention", "paths")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'paths'" in err
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
@@ -276,6 +304,24 @@ def test_verify_scan_outputs(capsys, tmp_path):
     assert csv_lines[0].startswith("n,kind,strategy")
     jsonl = [json.loads(line) for line in (out_dir / "certificates.jsonl").read_text().splitlines()]
     assert len(jsonl) == 16 and jsonl[0]["n"] == 23
+
+
+def test_verify_scan_prints_nothing_when_a_write_fails(capsys, monkeypatch, tmp_path):
+    # RESULT: PASS must not reach stdout before the files it vouches for exist
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "verify", "scan", "--from", "23", "--to", "24", "--out", str(blocker / "scan"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    out_dir = tmp_path / "scan"
+
+    def print_after_writes(*args, **kwargs):
+        assert sorted(p.name for p in out_dir.iterdir()) == ["certificates.csv", "certificates.jsonl", "summary.json"]
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "print", print_after_writes, raising=False)
+    code, out, _ = run_cli(capsys, "verify", "scan", "--from", "23", "--to", "24", "--out", str(out_dir))
+    assert code == 0 and out.endswith("RESULT: PASS\n")
 
 
 def test_verify_scan_jobs_do_not_change_summary(capsys, tmp_path):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from class_spectrum import EDGES, VERTICES, ChainResult, DomainError, GroupKind, height, longest_chain
+from class_spectrum import EDGES, VERTICES, DomainError, GroupKind, divgraph, longest_chain
 from class_spectrum.classes import moved_class_sizes, psi_members
 from oracles import brute_chain_height, quadratic_longest_chain
 
@@ -59,41 +59,45 @@ class CountedInt(int):
 
 
 def test_examples():
-    assert height([2, 4, 8, 16]) == ChainResult(4, (2, 4, 8, 16), VERTICES)
-    assert height([3, 5, 7]).height == 1
-    assert height([3, 6, 1]) == ChainResult(3, (1, 3, 6), VERTICES)
-    assert height([], VERTICES).height == 0
-    assert height([], EDGES).height == 0
-    assert height([2, 4, 8, 16], EDGES).height == 3
-    assert height([7], EDGES).height == 0
-    assert height([7], VERTICES).height == 1
+    assert longest_chain([2, 4, 8, 16]) == (4, (2, 4, 8, 16))
+    assert longest_chain([3, 5, 7]) == (1, (3,))
+    assert longest_chain([3, 6, 1]) == (3, (1, 3, 6))
+    assert longest_chain([]) == (0, ())
+    assert longest_chain([7]) == (1, (7,))
 
 
 def test_duplicates_are_ignored():
-    assert height([2, 2, 4, 4]).height == 2
+    assert longest_chain([2, 2, 4, 4]) == (2, (2, 4))
 
 
 def test_rejects_bad_inputs():
     with pytest.raises(DomainError):
-        height([0, 2])
+        longest_chain([0, 2])
     with pytest.raises(DomainError):
-        height([-3])
+        longest_chain([-3])
+
+
+def test_kept_height_applies_the_convention_to_longest_chain():
+    assert divgraph.height([2, 4, 8, 16]) == divgraph.ChainResult(4, (2, 4, 8, 16), VERTICES)
+    assert divgraph.height([2, 4, 8, 16], EDGES) == divgraph.ChainResult(3, (2, 4, 8, 16), EDGES)
+    assert divgraph.height([], EDGES).height == 0
+    assert divgraph.height([7], EDGES).height == 0
     with pytest.raises(DomainError):
-        height([2, 4], "paths")
+        divgraph.height([2, 4], "paths")
 
 
 def test_witness_realizes_height_and_divides():
     values = [3, 9, 18, 5, 15, 90, 7, 1]
-    result = height(values)
-    assert len(result.witness) == result.height
-    for a, b in zip(result.witness, result.witness[1:]):
+    h, witness = longest_chain(values)
+    assert len(witness) == h
+    for a, b in zip(witness, witness[1:]):
         assert a < b and b % a == 0
-    assert set(result.witness) <= set(values)
+    assert set(witness) <= set(values)
 
 
 def test_deterministic_witness():
-    first = height([6, 2, 3, 12, 24])
-    second = height([24, 12, 3, 2, 6])
+    first = longest_chain([6, 2, 3, 12, 24])
+    second = longest_chain([24, 12, 3, 2, 6])
     assert first == second
 
 

@@ -3,12 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from class_spectrum import (
-    EVEN,
-    ODD,
     CycleType,
     DomainError,
     fixed_point_free_partitions,
-    parity,
+    is_even,
     partitions,
 )
 from oracles import partition_count
@@ -62,10 +60,21 @@ def test_each_partition_has_right_support():
 
 
 def test_parity_examples():
-    assert parity(CycleType()) == EVEN
-    assert parity(CycleType.from_parts([2])) == ODD
-    assert parity(CycleType.from_parts([3, 2])) == ODD
-    assert parity(CycleType.from_parts([3])) == EVEN
+    assert is_even(CycleType())
+    assert not is_even(CycleType.from_parts([2]))
+    assert not is_even(CycleType.from_parts([3, 2]))
+    assert is_even(CycleType.from_parts([3]))
+    assert is_even(CycleType.from_parts([2, 2]))
+    assert is_even(CycleType.from_parts([4, 2, 1]))
+    # against the sign of an explicit permutation: the parity of its inversion count
+    for m in range(8):
+        for ct in partitions(m):
+            perm, start = [], 0
+            for k in ct.part_list():
+                perm += [start + (i + 1) % k for i in range(k)]
+                start += k
+            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+            assert is_even(ct) == (inversions % 2 == 0), ct
 
 
 parts_strategy = st.lists(st.integers(min_value=1, max_value=9), max_size=8)
@@ -75,9 +84,7 @@ parts_strategy = st.lists(st.integers(min_value=1, max_value=9), max_size=8)
 @given(parts_strategy, parts_strategy)
 def test_parity_is_additive_under_disjoint_union(a, b):
     ct_a, ct_b = CycleType.from_parts(a), CycleType.from_parts(b)
-    combined = parity(ct_a.combine(ct_b))
-    expected = EVEN if (parity(ct_a) == parity(ct_b)) else ODD
-    assert combined == expected
+    assert is_even(ct_a.combine(ct_b)) == (is_even(ct_a) == is_even(ct_b))
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,9 +11,9 @@ from class_spectrum import (
     DomainError,
     bound_report,
     chebyshev_sweep,
+    check_omega_lemma,
     factorial_ratio,
     omega_set,
-    select_r,
     shared_table,
     sieve,
 )
@@ -149,6 +149,33 @@ def test_degree_primes_at_the_limit_of_a_small_sieve(limit):
         table.degree_primes(1)
 
 
+def test_degree_primes_r_examples():
+    table = shared_table(1361)
+    assert table.degree_primes(23)[1] is None
+    assert table.degree_primes(30)[1] is None
+    assert table.degree_primes(24)[1] is None
+    assert table.degree_primes(26)[1] == 13
+    assert table.degree_primes(1360)[1] == 677
+
+
+def test_degree_primes_r_constraints():
+    # r is the prime maximizing 2r under p + 1 < 2r <= n, if any
+    table = shared_table(1361)
+    for n in range(23, 1362):
+        p, r, _ = table.degree_primes(n)
+        assert p == table.prev_prime(n)
+        if r is not None:
+            assert table.is_prime(r)
+            assert p + 1 < 2 * r <= n
+            # maximal: no prime r' with r < r' <= n // 2
+            assert table.prev_prime(n // 2) == r
+        else:
+            assert all(
+                not (table.is_prime(c) and p + 1 < 2 * c)
+                for c in range((p + 1) // 2 + 1, n // 2 + 1)
+            )
+
+
 def test_omega_examples():
     assert omega_set(10).omega == (7,)
     assert omega_set(10).p == 7
@@ -262,11 +289,26 @@ def test_shared_table_grows_on_demand(monkeypatch):
     assert small.limit == 2**16
     assert shared_table(50) is small
     fresh = sieve(200_006)
+
+    def degree_primes(n):
+        return shared_table(n).degree_primes(n)
+
     calls = [
         (200_003, omega_set, lambda data: data.omega == tuple(fresh.primes_in(100_002, 200_003))),
         (200_003, bound_report, lambda r: (r.pi_exact, r.p) == (fresh.count(200_003), 200_003)),
-        (200_003, select_r, lambda r: r is None and fresh.is_prime(200_003)),
-        (200_006, select_r, lambda r: r == fresh.prev_prime(100_003) == 100_003 > (fresh.prev_prime(200_006) + 1) // 2),
+        (200_003, check_omega_lemma, lambda c: c.p == 200_003 and c.holds and fresh.is_prime(200_003)),
+        (
+            200_006,
+            check_omega_lemma,
+            lambda c: (c.p, c.omega_count) == (fresh.prev_prime(200_006), fresh.count(200_006) - fresh.count(100_003)),
+        ),
+        (200_003, degree_primes, lambda d: d == (200_003, None, fresh.count(200_003) - fresh.count(100_001))),
+        (
+            200_006,
+            degree_primes,
+            lambda d: d == (fresh.prev_prime(200_006), 100_003, fresh.count(200_006) - fresh.count(100_003))
+            and fresh.prev_prime(100_003) == 100_003 > (fresh.prev_prime(200_006) + 1) // 2,
+        ),
     ]
     for n, function, matches in calls:
         monkeypatch.setattr(primes, "_shared", small)
@@ -288,10 +330,12 @@ def test_rising_degrees_rebuild_the_shared_table_logarithmically_often(monkeypat
         return sieve(limit)
 
     monkeypatch.setattr(primes, "sieve", counted)
-    answers = [select_r(n) for n in range(65_537, 65_837)]
+    answers = [(check_omega_lemma(n), shared_table(n).degree_primes(n)) for n in range(65_537, 65_837)]
     # sieve also recurses for its base primes; only the table builds pass 2^16
     assert [limit for limit in limits if limit > 2**16] == [65_537, 131_074]
     fresh = sieve(65_836)
-    for n, r in zip(range(65_537, 65_837), answers):
-        expected = fresh.prev_prime(n // 2)
-        assert r == (expected if 2 * expected > fresh.prev_prime(n) + 1 else None), n
+    for n, (check, degree) in zip(range(65_537, 65_837), answers):
+        p, count = fresh.prev_prime(n), fresh.count(n) - fresh.count(n // 2)
+        r = fresh.prev_prime(n // 2)
+        assert (check.p, check.omega_count) == (p, count), n
+        assert degree == (p, r if 2 * r > p + 1 else None, count), n

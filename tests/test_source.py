@@ -101,3 +101,16 @@ def test_degree_facts_come_from_the_table_query():
         and node.func.attr in {"prev_prime", "count"}
     ]
     assert calls == []
+
+
+def test_all_names_exactly_the_imported_names():
+    # __init__.py imports only to re-export, so __all__ lists each imported
+    # name once and nothing else, and every name resolves on the package
+    imported = [
+        alias.asname or alias.name
+        for node in TREES["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(class_spectrum.__all__) == sorted(set(imported)) == sorted(imported)
+    assert [name for name in class_spectrum.__all__ if not hasattr(class_spectrum, name)] == []

@@ -27,7 +27,6 @@ from class_spectrum import (
     phi_set,
     psi_set,
     scan_range,
-    select_r,
     shared_table,
     spectrum,
 )
@@ -131,29 +130,12 @@ def test_hz_table_each_reference_row_met_by_some_combination():
         assert min(row.computed.values()) <= row.reference_bound
 
 
-def test_select_r_examples():
-    assert select_r(23) is None
-    assert select_r(30) is None
-    assert select_r(24) is None
-    assert select_r(26) == 13
-    assert select_r(1360) == 677
-
-
-def test_select_r_constraints():
-    table = shared_table(1361)
-    for n in range(23, 1362):
-        r = select_r(n)
-        p = table.prev_prime(n)
-        if r is not None:
-            assert table.is_prime(r)
-            assert p + 1 < 2 * r <= n
-            # maximal: no prime r' with r < r' <= n // 2
-            assert table.prev_prime(n // 2) == r
-        else:
-            assert all(
-                not (table.is_prime(c) and p + 1 < 2 * c)
-                for c in range((p + 1) // 2 + 1, n // 2 + 1)
-            )
+def _r_by_rule(n):
+    # r re-derived from prev_prime rather than read from degree_primes, the
+    # query check_case makes: the largest prime r <= n // 2, kept when 2r > p + 1
+    table = shared_table(n)
+    r = table.prev_prime(n // 2)
+    return r if 2 * r > table.prev_prime(n) + 1 else None
 
 
 def test_r_trick_wins_strictly_wherever_r_exists():
@@ -161,19 +143,20 @@ def test_r_trick_wins_strictly_wherever_r_exists():
     # degree with an r says h(psi at 2r) < h(psi at p) strictly there: the
     # fact that lets a scan skip the direct candidate at those degrees
     report = scan_range(23, 1361, jobs=2)
-    with_r = [cert for cert in report.certificates if select_r(cert.n) is not None]
+    with_r = [cert for cert in report.certificates if _r_by_rule(cert.n) is not None]
     assert len(with_r) == 696 and len(report.certificates) == 2678
     assert [cert for cert in with_r if cert.strategy != verify.STRATEGY_R_TRICK] == []
 
 
-def test_certificates_agree_with_the_lemma_and_select_r():
-    # check_case reads p, r and |Omega(n)| from one degree_primes query, and
-    # calls neither one-degree API; every certificate must agree with both
+def test_certificates_agree_with_the_lemma_and_the_r_rule():
+    # check_case reads p, r and |Omega(n)| from one degree_primes query and
+    # does not call check_omega_lemma; every certificate must agree with the
+    # lemma record and with r re-derived from prev_prime
     report = scan_range(23, 400)
     assert len(report.certificates) == 2 * (400 - 23 + 1)
     for cert in report.certificates:
         lemma = check_omega_lemma(cert.n)
-        r = select_r(cert.n)
+        r = _r_by_rule(cert.n)
         assert cert.omega_count == lemma.omega_count
         if cert.strategy == verify.STRATEGY_R_TRICK:
             assert r is not None and (cert.r, cert.t_star) == (r, 2 * r)
