@@ -228,10 +228,9 @@ def phi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
     if not (2 * t > n and t <= n):
         raise DomainError(f"phi_set needs n/2 < t <= n, got n={n}, t={t}")
     layers = enumerate(_core_states(n - t, kind is GroupKind.ALT))
-    if t >= 2:
-        # t > n - t, so the t-cycle is the only cycle of its length
-        flip = kind is GroupKind.ALT and t % 2 == 0
-        layers = ((c + t, ((state & ~1) * t | (state & 1) ^ flip for state in layer)) for c, layer in layers)
+    # t > n - t, so the t-cycle is the only cycle of its length
+    flip = kind is GroupKind.ALT and t % 2 == 0
+    layers = ((c + t, ((state & ~1) * t | (state & 1) ^ flip for state in layer)) for c, layer in layers)
     return Spectrum.build(_layer_sizes(kind, n, layers), kind, n)
 
 

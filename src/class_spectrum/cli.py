@@ -36,9 +36,9 @@ from .errors import DomainError, InvariantError
 from .primes import bound_report, factorial_ratio, omega_set
 from .verify import (
     CSV_FIELDS,
-    DEFAULT_SUPPORT_CAP,
     FAIL,
     PASS,
+    SUPPORT_CAP,
     certificate_csv_row,
     check_case,
     check_omega_lemma,
@@ -116,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vc = vsub.add_parser("case", help="single-degree certificate")
     vc.add_argument("--n", required=True, type=int)
     vc.add_argument("--kind", required=True, type=_parse_kind)
-    vc.add_argument("--support-cap", type=int, default=DEFAULT_SUPPORT_CAP)
     vc.add_argument("--format", choices=["json", "text"], default="text")
     vc.set_defaults(run=_cmd_verify_case)
 
@@ -126,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vs.add_argument("--kinds", type=_parse_kinds, default=(GroupKind.SYM, GroupKind.ALT))
     vs.add_argument("--jobs", type=int, default=1)
     vs.add_argument("--out", type=Path, default=None, help="directory for summary.json / certificates.csv")
-    vs.add_argument("--support-cap", type=int, default=DEFAULT_SUPPORT_CAP)
     vs.set_defaults(run=_cmd_verify_scan)
 
     bp = sub.add_parser("bounds", help="pi(x) envelope and prime-gap diagnostics")
@@ -241,7 +239,7 @@ def _cmd_hz_table(args) -> int:
 
 
 def _cmd_verify_case(args) -> int:
-    cert = check_case(args.n, args.kind, support_cap=args.support_cap)
+    cert = check_case(args.n, args.kind)
     d = jsonable(cert)
     if args.format == "json":
         print(dump_json(d))
@@ -256,18 +254,14 @@ def _cmd_verify_case(args) -> int:
 
 
 def _cmd_verify_scan(args) -> int:
-    report = scan_range(
-        args.start,
-        args.stop,
-        kinds=args.kinds,
-        jobs=args.jobs,
-        support_cap=args.support_cap,
-    )
+    report = scan_range(args.start, args.stop, kinds=args.kinds, jobs=args.jobs)
     summary = report.summary_dict()
-    # every file is written before any line is printed, so a failed write leaves stdout empty
+    # every file is written before any line is printed, so a failed write leaves stdout empty;
+    # summary.json is written last, so one exists only beside certificate files this run wrote in full
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "summary.json").write_text(dump_json(summary, compact=False) + "\n")
+        summary_path = args.out / "summary.json"
+        summary_path.unlink(missing_ok=True)
         with (
             (args.out / "certificates.csv").open("w", newline="") as csv_handle,
             (args.out / "certificates.jsonl").open("w") as jsonl_handle,
@@ -278,10 +272,11 @@ def _cmd_verify_scan(args) -> int:
                 record = jsonable(cert)
                 writer.writerow(certificate_csv_row(record))
                 jsonl_handle.write(dump_json(record) + "\n")
+        summary_path.write_text(dump_json(summary, compact=False) + "\n")
     counts = report.counts
     print(
         f"scanned n in [{report.start}, {report.stop}] "
-        f"kinds={','.join(k.value for k in report.kinds)} support_cap={report.support_cap}"
+        f"kinds={','.join(k.value for k in report.kinds)} support_cap={SUPPORT_CAP}"
     )
     print(
         f"certificates: {summary['total']}  "

@@ -8,7 +8,7 @@ streams share its reverse lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 
@@ -33,31 +33,14 @@ class CycleType:
                 raise DomainError("cycle type parts must be strictly decreasing by length")
             prev = length
 
-    @classmethod
-    def from_parts(cls, lengths: Iterable[int]) -> "CycleType":
-        counts: dict[int, int] = {}
-        for k in lengths:
-            counts[k] = counts.get(k, 0) + 1
-        return cls.from_multiplicities(counts)
-
-    @classmethod
-    def from_multiplicities(cls, mults: Mapping[int, int]) -> "CycleType":
-        return cls(tuple(sorted(((k, m) for k, m in mults.items() if m), reverse=True)))
+    @staticmethod
+    def from_parts(lengths: Iterable[int]) -> "CycleType":
+        return _from_desc(sorted(lengths, reverse=True))
 
     @property
     def support(self) -> int:
         """Number of points covered, counting fixed points listed explicitly."""
         return sum(k * m for k, m in self.parts)
-
-    @property
-    def cycle_count(self) -> int:
-        return sum(m for _, m in self.parts)
-
-    def multiplicity(self, length: int) -> int:
-        for k, m in self.parts:
-            if k == length:
-                return m
-        return 0
 
     def part_list(self) -> tuple[int, ...]:
         """Cycle lengths in decreasing order, repeated per multiplicity."""
@@ -65,13 +48,6 @@ class CycleType:
         for k, m in self.parts:
             out.extend([k] * m)
         return tuple(out)
-
-    def combine(self, other: "CycleType") -> "CycleType":
-        """Cycle type of a disjoint union of supports."""
-        counts = {k: m for k, m in self.parts}
-        for k, m in other.parts:
-            counts[k] = counts.get(k, 0) + m
-        return CycleType.from_multiplicities(counts)
 
     def __str__(self) -> str:
         return "+".join(str(k) for k in self.part_list()) or "e"
@@ -115,7 +91,7 @@ def _descending(m: int, max_part: int, least: int) -> Iterator[tuple[int, ...]]:
         yield (least,) * (m // least)
 
 
-def _from_desc(desc: tuple[int, ...]) -> CycleType:
+def _from_desc(desc: Iterable[int]) -> CycleType:
     # desc is decreasing, so equal parts are adjacent
     pairs: list[tuple[int, int]] = []
     for k in desc:

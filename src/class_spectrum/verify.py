@@ -38,7 +38,8 @@ INDETERMINATE = "INDETERMINATE"
 STRATEGY_DIRECT = "direct-psi-p"
 STRATEGY_R_TRICK = "r-trick"
 
-DEFAULT_SUPPORT_CAP = 60
+# check_case builds no family whose residual support n - t* exceeds this
+SUPPORT_CAP = 60
 
 # jsonable writes a list of ints through their gcd when it has at least this many bits
 SHARED_FACTOR_BITS = 2048
@@ -290,7 +291,7 @@ class Certificate:
     reason: str | None = None
 
 
-def check_case(n: int, kind: GroupKind, support_cap: int = DEFAULT_SUPPORT_CAP) -> Certificate:
+def check_case(n: int, kind: GroupKind) -> Certificate:
     """Certify |Omega(n)| > h for the best strategy available at degree n.
 
     p, r and |Omega(n)| come from one ``degree_primes(n)`` query on the
@@ -299,15 +300,14 @@ def check_case(n: int, kind: GroupKind, support_cap: int = DEFAULT_SUPPORT_CAP) 
     class-size family, measures its chain height under both conventions,
     and records the summed per-support bound. The first candidate
     evaluated is kept unless a later one has a strictly smaller vertex
-    height, so a tie keeps the direct strategy, which is tried first. When
-    support_cap skips every candidate the certificate is INDETERMINATE:
-    direct strategy, t* = p, height 0, an empty witness, and the skip
-    reasons as its reason. A negative support_cap raises DomainError.
+    height, so a tie keeps the direct strategy, which is tried first. A
+    candidate whose residual support n - t* exceeds SUPPORT_CAP is skipped
+    unbuilt. When every candidate is skipped, as first at n = 520523, the
+    certificate is INDETERMINATE: direct strategy, t* = p, height 0, an
+    empty witness, and the skip reasons as its reason.
     """
     if n < 23:
         raise DomainError("check_case() covers degrees n >= 23")
-    if support_cap < 0:
-        raise DomainError(f"check_case() needs support_cap >= 0, got {support_cap}")
     started = time.perf_counter()
     p, r, omega_count = shared_table(n).degree_primes(n)
 
@@ -321,8 +321,8 @@ def check_case(n: int, kind: GroupKind, support_cap: int = DEFAULT_SUPPORT_CAP) 
     skipped = []
     for strategy, r_value, t_star in candidates:
         m = n - t_star
-        if m > support_cap:
-            skipped.append(f"{strategy}: residual support {m} exceeds cap {support_cap}")
+        if m > SUPPORT_CAP:
+            skipped.append(f"{strategy}: residual support {m} exceeds cap {SUPPORT_CAP}")
             continue
         members: dict[int, CycleType] = {}
         for value, ct in psi_members(kind, n, t_star):
@@ -369,7 +369,6 @@ class ScanReport:
     start: int
     stop: int
     kinds: tuple[GroupKind, ...]
-    support_cap: int
     certificates: list[Certificate] = field(default_factory=list)
 
     @property
@@ -388,7 +387,7 @@ class ScanReport:
             "from": self.start,
             "to": self.stop,
             "kinds": [k.value for k in self.kinds],
-            "support_cap": self.support_cap,
+            "support_cap": SUPPORT_CAP,
             "total": len(self.certificates),
             "verdicts": self.counts,
             "problems": [{key: problem[key] for key in PROBLEM_FIELDS} for problem in problems],
@@ -419,17 +418,11 @@ def certificate_csv_row(record: dict) -> list[str]:
     return ["" if cells[k] is None else str(cells[k]) for k in CSV_FIELDS]
 
 
-def _scan_task(args: tuple[int, str, int]) -> Certificate:
-    n, kind_value, support_cap = args
-    return check_case(n, GroupKind(kind_value), support_cap=support_cap)
-
-
 def scan_range(
     start: int,
     stop: int,
     kinds: Sequence[GroupKind] = (GroupKind.SYM, GroupKind.ALT),
     jobs: int = 1,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> ScanReport:
     """Run check_case over [start, stop] x kinds, optionally in parallel.
 
@@ -440,34 +433,26 @@ def scan_range(
     It takes the tasks in chunks of four from the highest degree down, so
     the costliest degrees start first instead of arriving together in the
     last chunk. Certificates are sorted by (n, kind); the aggregate does
-    not depend on scheduling. A negative support_cap, jobs below 1 or a
-    repeated kind raises DomainError.
+    not depend on scheduling. It raises DomainError for jobs below 1 or a
+    repeated kind.
     """
     if not 23 <= start <= stop:
         raise DomainError("scan_range() needs 23 <= start <= stop")
-    if support_cap < 0:
-        raise DomainError(f"scan_range() needs support_cap >= 0, got {support_cap}")
     if jobs < 1:
         raise DomainError(f"scan_range() needs jobs >= 1, got {jobs}")
     kinds = tuple(kinds)
     if len(set(kinds)) < len(kinds):
         raise DomainError(f"scan_range() needs distinct kinds, got {', '.join(map(str, kinds))}")
-    tasks = [(n, kind.value, support_cap) for n in range(start, stop + 1) for kind in kinds]
+    tasks = [(n, kind) for n in range(start, stop + 1) for kind in kinds]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        certificates = [_scan_task(task) for task in tasks]
+        certificates = [check_case(n, kind) for n, kind in tasks]
     else:
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-forking platforms
             context = multiprocessing.get_context()
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            certificates = list(pool.map(_scan_task, tasks[::-1], chunksize=4))
+            certificates = list(pool.map(check_case, *zip(*tasks[::-1]), chunksize=4))
     certificates.sort(key=lambda cert: (cert.n, cert.kind.value))
-    return ScanReport(
-        start=start,
-        stop=stop,
-        kinds=kinds,
-        support_cap=support_cap,
-        certificates=certificates,
-    )
+    return ScanReport(start=start, stop=stop, kinds=kinds, certificates=certificates)

@@ -230,8 +230,7 @@ def spectrum_by_partitions(kind: GroupKind, n: int) -> tuple[int, ...]:
 
 def phi_by_partitions(kind: GroupKind, n: int, t: int) -> tuple[int, ...]:
     """phi(t) by walking one t-cycle joined to every partition of n - t."""
-    t_cycle = CycleType(((t, 1),))
-    return _walk_sizes(kind, n, (rest.combine(t_cycle) for rest in partitions(n - t)))
+    return _walk_sizes(kind, n, (CycleType.from_parts(rest.part_list() + (t,)) for rest in partitions(n - t)))
 
 
 def psi_first_types(kind: GroupKind, n: int, t: int) -> dict[int, CycleType]:

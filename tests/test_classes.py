@@ -156,6 +156,10 @@ def test_phi_set_examples():
     assert phi_set(SYM, 5, 5).values == (24,)
     assert phi_set(SYM, 5, 4).values == (30,)
     assert phi_set(SYM, 6, 4).values == (90,)
+    # t = 1 forces n = 1, the identity; the transposition of degree 2 is odd, so Alt_2 has none
+    for kind in KINDS:
+        assert phi_set(kind, 1, 1).values == (1,)
+        assert phi_set(kind, 2, 2).values == ((1,) if kind is SYM else ())
 
 
 def test_phi_set_range_check():

@@ -352,7 +352,7 @@ def test_bounds(capsys):
 # are "kind/convention".
 SCAN_SUMMARY_GOLDEN = """\
 {
-  "from": 1360,
+  "from": 520523,
   "kinds": [
     "sym"
   ],
@@ -360,16 +360,16 @@ SCAN_SUMMARY_GOLDEN = """\
     {
       "h_value": 0,
       "kind": "sym",
-      "n": 1360,
-      "omega_count": 94,
-      "reason": "direct-psi-p: residual support 33 exceeds cap 5; r-trick: residual support 6 exceeds cap 5",
+      "n": 520523,
+      "omega_count": 20242,
+      "reason": "direct-psi-p: residual support 72 exceeds cap 60; r-trick: residual support 61 exceeds cap 60",
       "strategy": "direct-psi-p",
       "verdict": "INDETERMINATE",
       "witness_chain": []
     }
   ],
-  "support_cap": 5,
-  "to": 1360,
+  "support_cap": 60,
+  "to": 520523,
   "total": 1,
   "verdicts": {
     "FAIL": 0,
@@ -381,7 +381,7 @@ SCAN_SUMMARY_GOLDEN = """\
 
 GOLDEN_JSON = [
     pytest.param(
-        ["verify", "case", "--n", "1360", "--kind", "sym", "--support-cap", "10", "--format", "json"],
+        ["verify", "case", "--n", "1360", "--kind", "sym", "--format", "json"],
         0,
         (
             '{"elapsed":0,"h_sum_bound":7,"h_value":4,"h_value_edges":3,"kind":"sym","n":1360,'
@@ -418,7 +418,7 @@ GOLDEN_JSON = [
         id="hz-table",
     ),
     pytest.param(
-        ["verify", "scan", "--from", "1360", "--to", "1360", "--kinds", "sym", "--support-cap", "5", "--out"],
+        ["verify", "scan", "--from", "520523", "--to", "520523", "--kinds", "sym", "--out"],
         1,
         SCAN_SUMMARY_GOLDEN,
         id="scan-summary",
@@ -446,16 +446,28 @@ def test_usage_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
 
 
-def test_verify_rejects_negative_support_cap(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "verify", "case", "--n", "100", "--kind", "sym", "--support-cap", "-1")
+def test_support_cap_is_not_an_option(capsys, tmp_path):
+    # the residual-support cap is the constant verify.SUPPORT_CAP
+    code, out, err = run_cli(capsys, "verify", "case", "--n", "100", "--kind", "sym", "--support-cap", "5")
     assert code == 2 and out == ""
-    assert "support_cap >= 0" in err
+    assert "--support-cap" in err
     code, out, err = run_cli(
-        capsys, "verify", "scan", "--from", "23", "--to", "24", "--support-cap", "-1", "--out", str(tmp_path)
+        capsys, "verify", "scan", "--from", "23", "--to", "24", "--support-cap", "5", "--out", str(tmp_path)
     )
     assert code == 2 and out == ""
-    assert "support_cap >= 0" in err
+    assert "--support-cap" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_scan_leaves_no_summary_when_a_certificate_write_fails(capsys, tmp_path):
+    # a summary.json from an earlier run is removed, and a new one is written
+    # only after both certificate files are complete
+    (tmp_path / "summary.json").write_text("{}\n")
+    (tmp_path / "certificates.csv").mkdir()
+    code, out, err = run_cli(capsys, "verify", "scan", "--from", "23", "--to", "24", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "certificates.csv" in err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_repeated_kind_is_a_usage_error(capsys, tmp_path):

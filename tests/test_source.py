@@ -1,8 +1,10 @@
+import argparse
 import ast
 from collections import Counter
 from pathlib import Path
 
 import class_spectrum
+from class_spectrum import cli
 
 SOURCES = sorted(Path(class_spectrum.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
@@ -114,3 +116,33 @@ def test_all_names_exactly_the_imported_names():
     ]
     assert sorted(class_spectrum.__all__) == sorted(set(imported)) == sorted(imported)
     assert [name for name in class_spectrum.__all__ if not hasattr(class_spectrum, name)] == []
+
+
+# every command-line option, by subcommand; an option added or removed must
+# change this table, so it shows in review
+OPTIONS = {
+    "": ["--version"],
+    "spectrum": ["--cache-dir", "--cap", "--family", "--format", "--kind", "--n", "--no-cache", "--t"],
+    "height": ["--convention", "--input"],
+    "omega": ["--format", "--n"],
+    "hz-table": ["--format", "--kinds", "--max-m"],
+    "verify": [],
+    "verify case": ["--format", "--kind", "--n"],
+    "verify scan": ["--from", "--jobs", "--kinds", "--out", "--to"],
+    "bounds": ["--format", "--x"],
+}
+
+
+def _options(parser, command=""):
+    found = {command: []}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found |= _options(sub, f"{command} {name}".strip())
+        elif not isinstance(action, argparse._HelpAction):
+            found[command] += action.option_strings
+    return {name: sorted(options) for name, options in found.items()}
+
+
+def test_command_line_options_are_pinned():
+    assert _options(cli._build_parser()) == OPTIONS

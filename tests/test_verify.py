@@ -205,8 +205,6 @@ def test_check_case_witness_is_rederivable_chain():
 def test_check_case_requires_scan_domain():
     with pytest.raises(DomainError):
         check_case(22, SYM)
-    with pytest.raises(DomainError, match="support_cap >= 0"):
-        check_case(100, SYM, support_cap=-1)
 
 
 def test_check_case_tightest_counterexample_degree():
@@ -220,22 +218,28 @@ def test_check_case_tightest_counterexample_degree():
 
 
 def test_check_case_indeterminate_when_cap_blocks_all_strategies():
-    cert = check_case(1360, SYM, support_cap=5)
+    # the first degree where SUPPORT_CAP refuses both candidates: p = 520451, r = 260231
+    cert = check_case(520523, SYM)
     assert cert.verdict == INDETERMINATE
-    assert cert.reason is not None and "exceeds cap" in cert.reason
+    assert cert.reason == (
+        "direct-psi-p: residual support 72 exceeds cap 60; r-trick: residual support 61 exceeds cap 60"
+    )
     assert cert.witness_chain == ()
     assert cert.strategy == verify.STRATEGY_DIRECT
-    assert cert.t_star == 1327 and cert.support_m == 33
+    assert cert.t_star == 520451 and cert.support_m == 72
     assert cert.h_sum_bound == 0 and cert.h_value_edges == 0
 
 
 def test_check_case_takes_r_trick_when_cap_skips_direct():
-    cert = check_case(1360, SYM, support_cap=10)
-    assert cert.strategy == verify.STRATEGY_R_TRICK
-    assert cert.support_m == 6
-    assert cert.h_value == 4
-    assert cert.reason is None
-    assert cert.verdict == PASS
+    # the first degree where SUPPORT_CAP refuses the direct candidate
+    p, r, _ = shared_table(31458).degree_primes(31458)
+    assert 31458 - p == verify.SUPPORT_CAP + 1
+    for kind in (SYM, ALT):
+        cert = check_case(31458, kind)
+        assert cert.strategy == verify.STRATEGY_R_TRICK
+        assert (cert.r, cert.t_star, cert.support_m) == (r, 2 * r, 4)
+        assert cert.reason is None
+        assert cert.verdict == PASS
 
 
 def test_check_case_reruns_identical_except_elapsed():
@@ -286,9 +290,9 @@ def test_scan_pool_capped_by_tasks_and_cpus(monkeypatch, cpus, expected):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            degrees.extend(n for n, _, _ in items)
-            return map(fn, items)
+        def map(self, fn, degrees_in, kinds_in, chunksize=1):
+            degrees.extend(degrees_in)
+            return map(fn, degrees_in, kinds_in)
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
@@ -308,8 +312,6 @@ def test_scan_range_validation():
         scan_range(22, 30)
     with pytest.raises(DomainError):
         scan_range(40, 30)
-    with pytest.raises(DomainError, match="support_cap >= 0"):
-        scan_range(23, 24, support_cap=-1)
     for jobs in (0, -1):
         with pytest.raises(DomainError, match="jobs >= 1"):
             scan_range(23, 24, jobs=jobs)
