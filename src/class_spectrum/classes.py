@@ -104,19 +104,6 @@ def _sizes(kind: GroupKind, n: int, placed: int, c: int, state: int) -> tuple[in
     return (s,)
 
 
-def centralizer_order_sym(ct: CycleType, n: int) -> int:
-    """Order of the Sym_n centralizer of a permutation with cycle type ct.
-
-    ct is padded with fixed points up to degree n; explicit length-1 parts
-    in ct are merged with that padding, so the fixed-point factor is
-    (n - moved)! where moved counts only parts of length >= 2.
-    """
-    if ct.support > n:
-        raise DomainError(f"cycle type covers {ct.support} points, exceeding degree {n}")
-    c, state = _core(ct)
-    return math.factorial(n - c) * (state >> 1)
-
-
 def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
     """Class size(s) in V_n of elements with cycle type ct padded by fixed points.
 

@@ -7,7 +7,14 @@ the windows come from a smaller ``sieve`` of that square root, so there is
 one sieve. Each window is crossed off one byte per integer and then packed
 8 KiB at a time by C-level bytes and int operations, and ``primes_in``
 enumerates set bits a byte at a time from a 256-entry offset table, so
-neither does a Python step per integer.
+neither does a Python step per integer. ``count`` reads pi(x) from a rank
+index of cumulative popcounts, one per 1 KiB of the table, built on its
+first call, so it costs the same at every x.
+
+``chebyshev_sweep`` walks prime gaps: it reads the primes of its interval
+once, and pi(x) and the largest prime <= x stay fixed across each gap.
+It and ``bound_report`` evaluate the envelope in ``_envelope`` and the gap
+bound in ``_gap_holds``, so both flag the same x.
 
 The prime-data functions here and in :mod:`class_spectrum.verify` read one
 module-wide table, ``shared_table``, which is built on first use and
@@ -23,6 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import DomainError, InvariantError
 
@@ -32,6 +40,8 @@ PACK_SLICE = 1 << 13
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # _BIT_OFFSETS[b]: the positions 0..7 of the set bits of byte b, ascending
 _BIT_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+# count's rank index holds one cumulative popcount per this many bytes (8192 integers)
+RANK_BLOCK_SHIFT = 10
 
 # diagnostic constants: claimed pi(x) envelope 0.921 x/ln x < pi(x) < 1.106 x/ln x
 CHEBYSHEV_LOWER = 0.921
@@ -43,13 +53,20 @@ REL_MARGIN = 1e-9
 
 
 class PrimalityTable:
-    """Bit-packed exact primality for every integer in [0, limit]."""
+    """Bit-packed exact primality for every integer in [0, limit].
 
-    __slots__ = ("limit", "_bits")
+    ``_rank`` is ``count``'s rank index, built on the first ``count``:
+    ``_rank[i]`` is the number of set bits in the first ``i`` 1 KiB blocks
+    of ``_bits``. The bits never change after construction, so neither
+    does the index; a larger table is a new table with its own.
+    """
+
+    __slots__ = ("limit", "_bits", "_rank")
 
     def __init__(self, limit: int, bits: bytearray):
         self.limit = limit
         self._bits = bits
+        self._rank: list[int] | None = None
 
     def is_prime(self, k: int) -> bool:
         if k < 0 or k > self.limit:
@@ -57,15 +74,26 @@ class PrimalityTable:
         return bool(self._bits[k >> 3] & (1 << (k & 7)))
 
     def count(self, x: int) -> int:
-        """pi(x): number of primes <= x."""
+        """pi(x): number of primes <= x, in time independent of x.
+
+        The rank index gives the primes below the 1 KiB block that holds x;
+        a popcount of at most 1 KiB of that block and one partial byte add
+        the rest.
+        """
         if x < 0:
             return 0
         if x > self.limit:
             raise DomainError(f"{x} outside sieve range [0, {self.limit}]")
+        bits = self._bits
+        if self._rank is None:
+            step = 1 << RANK_BLOCK_SHIFT
+            blocks = (int.from_bytes(bits[at : at + step], "little").bit_count() for at in range(0, len(bits), step))
+            self._rank = list(accumulate(blocks, initial=0))
         full, rem = divmod(x + 1, 8)
-        total = int.from_bytes(self._bits[:full], "little").bit_count()
+        block = full >> RANK_BLOCK_SHIFT
+        total = self._rank[block] + int.from_bytes(bits[block << RANK_BLOCK_SHIFT : full], "little").bit_count()
         if rem:
-            total += (self._bits[full] & ((1 << rem) - 1)).bit_count()
+            total += (bits[full] & ((1 << rem) - 1)).bit_count()
         return total
 
     def primes_in(self, lo: int, hi: int) -> list[int]:
@@ -238,7 +266,7 @@ def bound_report(x: int) -> BoundReport:
     p = table.prev_prime(x)
     if p is None:
         raise InvariantError(f"no prime <= {x}")
-    lower, upper, lower_holds, upper_holds, gap_holds = _envelope(x, pi_exact, p)
+    lower, upper, lower_holds, upper_holds = _envelope(x, pi_exact)
     return BoundReport(
         x=x,
         pi_exact=pi_exact,
@@ -248,27 +276,26 @@ def bound_report(x: int) -> BoundReport:
         upper_holds=upper_holds,
         p=p,
         gap=x - p,
-        gap_bound_holds=gap_holds,
+        gap_bound_holds=_gap_holds(x, p),
     )
 
 
-def _envelope(x: int, pi: int, p: int) -> tuple[float, float, bool, bool, bool]:
-    """(lower, upper, lower holds, upper holds, gap bound holds) at x.
+def _envelope(x: int, pi: int) -> tuple[float, float, bool, bool]:
+    """(lower, upper, lower holds, upper holds) at x, where pi is pi(x).
 
-    pi is pi(x) and p the largest prime <= x. The sides are evaluated as
-    c * x / log(x), left to right, and the flags are the ``BoundReport``
-    tests, so ``bound_report`` and ``chebyshev_sweep`` flag the same x.
+    The sides are evaluated as c * x / log(x), left to right, and the
+    flags are the ``BoundReport`` tests, so ``bound_report`` and
+    ``chebyshev_sweep`` flag the same x.
     """
     log_x = math.log(x)
     lower = CHEBYSHEV_LOWER * x / log_x
     upper = CHEBYSHEV_UPPER * x / log_x
-    return (
-        lower,
-        upper,
-        pi > lower - REL_MARGIN * lower,
-        pi < upper + REL_MARGIN * upper,
-        (x - p) ** GAP_EXPONENT_DEN < x**GAP_EXPONENT_NUM,
-    )
+    return lower, upper, pi > lower - REL_MARGIN * lower, pi < upper + REL_MARGIN * upper
+
+
+def _gap_holds(x: int, p: int) -> bool:
+    """x - p < x^0.525 exactly, as (x - p)^40 < x^21; p is the largest prime <= x."""
+    return (x - p) ** GAP_EXPONENT_DEN < x**GAP_EXPONENT_NUM
 
 
 @dataclass(frozen=True)
@@ -287,6 +314,14 @@ def chebyshev_sweep(lo: int = 10, hi: int = 100_000) -> SweepResult:
     """Evaluate the envelope and gap bound for every integer x in (lo, hi].
 
     hi == lo is the empty interval; hi < lo raises DomainError.
+
+    The sweep walks prime gaps: the primes of (lo, hi] are read once, and
+    across each gap [p, q - 1] pi(x) and the largest prime p <= x stay
+    fixed. The envelope is evaluated at every x. The gap bound
+    (x - p)^40 < x^21 fails on a suffix of each gap, because
+    40 ln(x - p) - 21 ln(x) grows with x (its slope 40/(x - p) - 21/x is
+    positive), so it is tested from the gap's last x downwards and stops
+    at the first x where it holds.
     """
     if lo < 10:
         raise DomainError("sweep domain starts above 10")
@@ -297,18 +332,23 @@ def chebyshev_sweep(lo: int = 10, hi: int = 100_000) -> SweepResult:
     upper_bad: list[int] = []
     gap_bad: list[int] = []
     pi = table.count(lo)
-    p = table.prev_prime(lo) or 0
-    for x in range(lo + 1, hi + 1):
-        if table.is_prime(x):
-            pi += 1
-            p = x
-        _, _, lower_holds, upper_holds, gap_holds = _envelope(x, pi, p)
-        if not lower_holds:
-            lower_bad.append(x)
-        if not upper_holds:
-            upper_bad.append(x)
-        if not gap_holds:
-            gap_bad.append(x)
+    p = table.prev_prime(lo)
+    start = lo + 1
+    # each q ends the gap [start, q - 1]; hi + 1 closes the last one at hi
+    for q in table.primes_in(start, hi) + [hi + 1]:
+        for x in range(start, q):
+            _, _, lower_holds, upper_holds = _envelope(x, pi)
+            if not lower_holds:
+                lower_bad.append(x)
+            if not upper_holds:
+                upper_bad.append(x)
+        failing = q
+        while failing > start and not _gap_holds(failing - 1, p):
+            failing -= 1
+        gap_bad.extend(range(failing, q))
+        pi += 1
+        p = q
+        start = q
     return SweepResult(
         lo=lo,
         hi=hi,

@@ -3,25 +3,36 @@
 Nothing here reuses the package's formulas: partition numbers come from
 the pentagonal-number recurrence, primality from an unsegmented sieve with
 one byte per integer, conjugacy data from explicit orbits of
-permutation tuples, chain heights from subset enumeration, and chain
-witnesses (tie-breaks included) from the quadratic longest-path DP. The
-one exception is the partition walk, which checks the class-size state
-DP behind ``spectrum``, ``phi_set`` and ``psi_members`` against one
-public ``class_size`` call per partition.
+permutation tuples, centralizer orders from the cycle type's
+multiplicities, chain heights from subset enumeration, chain witnesses
+(tie-breaks included) from the quadratic longest-path DP, and the
+Chebyshev sweep from one step per integer. The one exception is the
+partition walk, which checks the class-size state DP behind
+``spectrum``, ``phi_set`` and ``psi_members`` against one public
+``class_size`` call per partition.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import permutations as iterperms
 
 from class_spectrum import (
     CycleType,
     GroupKind,
+    SweepResult,
     class_size,
     fixed_point_free_partitions,
     is_even,
     partitions,
+)
+from class_spectrum.primes import (
+    CHEBYSHEV_LOWER,
+    CHEBYSHEV_UPPER,
+    GAP_EXPONENT_DEN,
+    GAP_EXPONENT_NUM,
+    REL_MARGIN,
 )
 
 
@@ -61,6 +72,55 @@ def bytewise_primes(limit: int) -> bytearray:
             for multiple in range(d * d, limit + 1, d):
                 flags[multiple] = 0
     return flags
+
+
+def chebyshev_by_integers(lo: int, hi: int) -> SweepResult:
+    """``chebyshev_sweep(lo, hi)`` by one step per integer x in (lo, hi].
+
+    Primality comes from ``bytewise_primes``; pi(x) and the largest prime
+    p <= x are updated at every x, and all three flags are evaluated at
+    every x, the gap flag as (x - p)^40 < x^21.
+    """
+    flags = bytewise_primes(hi)
+    pi = sum(flags[: lo + 1])
+    p = max(k for k in range(lo + 1) if flags[k])
+    lower_bad, upper_bad, gap_bad = [], [], []
+    for x in range(lo + 1, hi + 1):
+        if flags[x]:
+            pi += 1
+            p = x
+        log_x = math.log(x)
+        lower = CHEBYSHEV_LOWER * x / log_x
+        upper = CHEBYSHEV_UPPER * x / log_x
+        if not pi > lower - REL_MARGIN * lower:
+            lower_bad.append(x)
+        if not pi < upper + REL_MARGIN * upper:
+            upper_bad.append(x)
+        if not (x - p) ** GAP_EXPONENT_DEN < x**GAP_EXPONENT_NUM:
+            gap_bad.append(x)
+    return SweepResult(
+        lo=lo,
+        hi=hi,
+        checked=hi - lo,
+        lower_violations=tuple(lower_bad),
+        upper_violations=tuple(upper_bad),
+        gap_violations=tuple(gap_bad),
+    )
+
+
+def centralizer_order_sym(ct: CycleType, n: int) -> int:
+    """Order of the Sym_n centralizer of an element of cycle type ct padded to degree n.
+
+    The product of k^m * m! over the lengths k >= 2 that occur m times,
+    times (n - moved)! for the fixed points, where moved counts the points
+    in cycles of length >= 2; explicit 1-cycles in ct join the padding.
+    """
+    lengths = [k for k in ct.part_list() if k >= 2]
+    order = math.factorial(n - sum(lengths))
+    for k in set(lengths):
+        m = lengths.count(k)
+        order *= k**m * math.factorial(m)
+    return order
 
 
 def sign(perm: tuple[int, ...]) -> int:

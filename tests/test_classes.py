@@ -14,7 +14,6 @@ from class_spectrum import (
     DomainError,
     EnumerationCapError,
     GroupKind,
-    centralizer_order_sym,
     class_size,
     fixed_point_free_partitions,
     group_order,
@@ -30,6 +29,7 @@ from class_spectrum import (
 from class_spectrum.classes import _core, _core_states, _fpf_cores
 from oracles import (
     admissible,
+    centralizer_order_sym,
     class_sizes_where,
     conjugacy_classes,
     cycle_lengths,
@@ -62,16 +62,23 @@ def test_group_order_examples():
     assert group_order(SYM, 0) == 1
 
 
+def _centralizer_from_core(lam, n):
+    # the Sym_n centralizer order that _core's packed state implies
+    c, state = _core(lam)
+    return math.factorial(n - c) * (state >> 1)
+
+
 def test_centralizer_order_examples():
-    assert centralizer_order_sym(ct(2), 4) == 4
-    assert centralizer_order_sym(ct(), 5) == 120
-    assert centralizer_order_sym(ct(5), 5) == 5
+    for lam, n, order in ((ct(2), 4, 4), (ct(), 5, 120), (ct(5), 5, 5), (ct(3, 2, 2), 9, 48)):
+        assert centralizer_order_sym(lam, n) == _centralizer_from_core(lam, n) == order
 
 
 def test_centralizer_merges_explicit_fixed_points():
     # (1) padded into degree 2 is the identity, whose centralizer is all of S_2
-    assert centralizer_order_sym(ct(1), 2) == 2
-    assert centralizer_order_sym(ct(2, 1), 4) == centralizer_order_sym(ct(2), 4)
+    assert _core(ct(1)) == _core(ct())
+    assert _core(ct(2, 1)) == _core(ct(2))
+    assert centralizer_order_sym(ct(1), 2) == _centralizer_from_core(ct(1), 2) == 2
+    assert centralizer_order_sym(ct(2, 1), 4) == _centralizer_from_core(ct(2, 1), 4) == 4
 
 
 def test_centralizer_against_explicit_commuting_count():
@@ -79,12 +86,13 @@ def test_centralizer_against_explicit_commuting_count():
 
     x = (1, 0, 2, 3)  # cycle type (2) in S_4
     commuting = sum(1 for g in group_elements("sym", 4) if conj(g, x) == x)
-    assert commuting == centralizer_order_sym(ct(2), 4)
+    assert commuting == centralizer_order_sym(ct(2), 4) == _centralizer_from_core(ct(2), 4)
 
 
 def test_centralizer_support_check():
-    with pytest.raises(DomainError):
-        centralizer_order_sym(ct(5), 4)
+    # a type that moves more points than the degree has no class
+    with pytest.raises(DomainError, match="covers 5 points, exceeding degree 4"):
+        class_size(SYM, 4, ct(5))
 
 
 def test_class_size_examples():
@@ -237,9 +245,12 @@ def test_splitting_criterion_past_the_oracle(n):
 
 @pytest.mark.parametrize("m", range(0, 35))
 def test_centralizer_factor_is_odd_exactly_when_odd_distinct(m):
-    # classes reads the Alt splitting rule off the parity of z
+    # classes reads the Alt splitting rule off the parity of z, which _core
+    # packs with the parity of the type
     for lam in fixed_point_free_partitions(m):
-        assert centralizer_order_sym(lam, m) % 2 == _odd_distinct(lam.part_list()), lam
+        z = centralizer_order_sym(lam, m)
+        assert _core(lam) == (m, 2 * z | is_even(lam)), lam
+        assert z % 2 == _odd_distinct(lam.part_list()), lam
 
 
 def test_psi_closed_form_equals_order_quotient_parameterization():

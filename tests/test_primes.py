@@ -1,11 +1,12 @@
 import bisect
 import math
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bytewise_primes
+from oracles import bytewise_primes, chebyshev_by_integers
 
 from class_spectrum import (
     DomainError,
@@ -105,6 +106,40 @@ def test_count_prefix_edges():
     assert table.count(-1) == 0
     with pytest.raises(DomainError):
         table.count(51)
+
+
+# one rank-index block of count covers 1 KiB of the table, 8192 integers
+RANK_SPAN = 8192
+
+
+@pytest.mark.parametrize("limit", [0, 1, 7, 8, 2 * RANK_SPAN - 1, 3 * RANK_SPAN + 37])
+def test_count_matches_bytewise_prefix_sums(limit):
+    # every x of a table that spans several rank blocks, ends mid-block or
+    # exactly on a block boundary
+    table = sieve(limit)
+    assert table._rank is None
+    expected = list(accumulate(bytewise_primes(limit)))
+    assert [table.count(x) for x in range(-1, limit + 1)] == [0] + expected
+
+
+def test_count_at_rank_block_edges():
+    table = sieve(10**6)
+    expected = list(accumulate(bytewise_primes(10**6)))
+    xs = [x for k in range(1, 10**6 // RANK_SPAN + 1) for x in (RANK_SPAN * k - 1, RANK_SPAN * k, RANK_SPAN * k + 7)]
+    assert [table.count(x) for x in xs] == [expected[x] for x in xs]
+    assert table.count(10**6) == expected[-1] == 78498
+
+
+def test_grown_shared_table_counts_like_a_fresh_sieve(monkeypatch):
+    # the grown table is a new table, so its rank index covers its own bits
+    monkeypatch.setattr(primes, "_shared", None)
+    small = shared_table(100)
+    assert small.count(2**16) == sieve(2**16).count(2**16)
+    grown = shared_table(200_003)
+    assert grown is not small and grown.limit == 200_003
+    fresh = sieve(grown.limit)
+    xs = [0, 2**16 - 1, 2**16, 2**16 + 1, 100_003, 131_071, grown.limit]
+    assert [grown.count(x) for x in xs] == [fresh.count(x) for x in xs]
 
 
 def test_prev_prime():
@@ -271,6 +306,29 @@ def test_sweep_quick():
     # gap gives 126 - 113 = 13 > 126^0.525 = 12.66..., exactly 13^40 > 126^21
     assert result.gap_violations == (126,)
     assert result.checked == 9990
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (10, 100_000),
+        (11, 500),  # lo prime
+        (13, 5000),
+        (10, 200),  # lo + 1 prime
+        (10, 113),  # hi prime
+        (10, 125),  # hi inside the 113 -> 127 gap, before its violation
+        (10, 126),
+        (10, 11),  # one x
+        (100, 100),  # empty
+    ],
+)
+def test_sweep_walks_gaps_like_the_integer_loop(lo, hi):
+    assert chebyshev_sweep(lo, hi) == chebyshev_by_integers(lo, hi)
+
+
+def test_sweep_cut_inside_a_violating_gap():
+    assert chebyshev_sweep(10, 125).gap_violations == ()
+    assert chebyshev_sweep(10, 126).gap_violations == (126,)
 
 
 def test_sweep_rejects_reversed_interval():

@@ -105,6 +105,41 @@ def test_degree_facts_come_from_the_table_query():
     assert calls == []
 
 
+def _readers(tree, names):
+    # the functions that read each of names; None stands for module level
+    found = {name: set() for name in names}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in found:
+            found[node.id].add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_bound_formulas_have_one_home():
+    # bound_report and chebyshev_sweep both evaluate the envelope through
+    # _envelope and the gap bound through _gap_holds, so the two cannot flag
+    # different x; the sweep reads primality from primes_in, not per integer
+    tree = TREES["primes.py"]
+    assert _readers(tree, ["CHEBYSHEV_LOWER", "CHEBYSHEV_UPPER", "GAP_EXPONENT_NUM", "GAP_EXPONENT_DEN"]) == {
+        "CHEBYSHEV_LOWER": {"_envelope"},
+        "CHEBYSHEV_UPPER": {"_envelope"},
+        "GAP_EXPONENT_NUM": {"_gap_holds"},
+        "GAP_EXPONENT_DEN": {"_gap_holds"},
+    }
+    assert _readers(tree, ["_envelope", "_gap_holds"]) == {
+        "_envelope": {"bound_report", "chebyshev_sweep"},
+        "_gap_holds": {"bound_report", "chebyshev_sweep"},
+    }
+    sweep = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "chebyshev_sweep")
+    assert "is_prime" not in set(_loaded_names(sweep))
+
+
 def test_all_names_exactly_the_imported_names():
     # __init__.py imports only to re-export, so __all__ lists each imported
     # name once and nothing else, and every name resolves on the package
