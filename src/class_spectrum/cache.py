@@ -12,10 +12,8 @@ atomic rename, so concurrent readers never observe partial entries.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
 ENV_VAR = "CLASS_SPECTRUM_CACHE"
@@ -34,6 +32,12 @@ def _canonical(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
+def _sha256(data: bytes) -> str:
+    import hashlib  # here, not at module level: only a command that uses the cache pays for the import
+
+    return hashlib.sha256(data).hexdigest()
+
+
 class SpectrumCache:
     """File-backed store of decimal-string lists, each checksummed over the bytes written."""
 
@@ -44,7 +48,7 @@ class SpectrumCache:
 
     def _path(self, key: dict) -> Path:
         # still .json: an entry in the older JSON format fails the key-line check and is replaced, not orphaned
-        digest = hashlib.sha256(_canonical(key)).hexdigest()
+        digest = _sha256(_canonical(key))
         return self.root / f"{digest}.json"
 
     def get(self, key: dict) -> list[str] | None:
@@ -59,7 +63,7 @@ class SpectrumCache:
         # bytes.isdigit is ASCII-only and false on an empty line
         if (
             head != _canonical(key)
-            or digest != hashlib.sha256(body).hexdigest().encode()
+            or digest != _sha256(body).encode()
             or not all(map(bytes.isdigit, lines))
         ):
             # corrupt, stale or malformed entry: drop it so the caller recomputes
@@ -73,12 +77,14 @@ class SpectrumCache:
     def put(self, key: dict, values: list[str]) -> None:
         if not self.enabled:
             return
+        import tempfile  # here, not at module level, like hashlib in _sha256
+
         body = "\n".join(values).encode()
         self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.writelines((_canonical(key), b"\n", hashlib.sha256(body).hexdigest().encode(), b"\n", body))
+                handle.writelines((_canonical(key), b"\n", _sha256(body).encode(), b"\n", body))
             os.replace(tmp, self._path(key))
         except BaseException:
             try:

@@ -14,7 +14,6 @@ SystemExit, also for --help, --version and usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from functools import cache
@@ -227,6 +226,8 @@ def _cmd_hz_table(args) -> int:
     if args.format == "json":
         print(dump_json(jsonable(rows)))
     elif args.format == "csv":
+        import csv  # here, not at module level: only the two CSV writers pay for the import
+
         writer = csv.writer(sys.stdout)
         writer.writerow(headers)
         writer.writerows(table_rows)
@@ -259,6 +260,8 @@ def _cmd_verify_scan(args) -> int:
     # every file is written before any line is printed, so a failed write leaves stdout empty;
     # summary.json is written last, so one exists only beside certificate files this run wrote in full
     if args.out is not None:
+        import csv  # here, not at module level, as in _cmd_hz_table
+
         args.out.mkdir(parents=True, exist_ok=True)
         summary_path = args.out / "summary.json"
         summary_path.unlink(missing_ok=True)

@@ -14,12 +14,10 @@ floating-point diagnostics in :mod:`class_spectrum.primes`.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
 from bisect import bisect_right
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import lru_cache
@@ -103,6 +101,12 @@ def _through_factor(values: Sequence[int], g: int) -> list[str]:
     return [str(exact.multiply(shared, v // g)) for v in values]
 
 
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    # dataclasses.fields rebuilds its tuple on every call; a record class's fields never change
+    return tuple(f.name for f in fields(cls))
+
+
 def jsonable(obj):
     """The JSON form of a result: every integer inside a list is a decimal string.
 
@@ -129,7 +133,7 @@ def jsonable(obj):
     if isinstance(obj, Enum):
         return obj.value
     if is_dataclass(obj):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        return {name: jsonable(getattr(obj, name)) for name in _field_names(type(obj))}
     if isinstance(obj, dict):
         return {"/".join(map(str, k)) if isinstance(k, tuple) else k: jsonable(v) for k, v in obj.items()}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -429,12 +433,13 @@ def scan_range(
     Each process, the caller or a forked worker, grows the shared
     primality table and fills the per-support chain heights and
     ``classes._fpf_cores`` lazily, as its own check_case calls first need
-    them. The pool never holds more workers than there are tasks or CPUs.
-    It takes the tasks in chunks of four from the highest degree down, so
-    the costliest degrees start first instead of arriving together in the
-    last chunk. Certificates are sorted by (n, kind); the aggregate does
-    not depend on scheduling. It raises DomainError for jobs below 1 or a
-    repeated kind.
+    them. The pool never holds more workers than there are tasks or CPUs
+    this process may run on, and a scan that would get one worker runs
+    serially, without importing the pool. It takes the tasks in chunks of
+    four from the highest degree down, so the costliest degrees start first
+    instead of arriving together in the last chunk. Certificates are sorted
+    by (n, kind); the aggregate does not depend on scheduling. It raises
+    DomainError for jobs below 1 or a repeated kind.
     """
     if not 23 <= start <= stop:
         raise DomainError("scan_range() needs 23 <= start <= stop")
@@ -444,10 +449,18 @@ def scan_range(
     if len(set(kinds)) < len(kinds):
         raise DomainError(f"scan_range() needs distinct kinds, got {', '.join(map(str, kinds))}")
     tasks = [(n, kind) for n in range(start, stop + 1) for kind in kinds]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # platforms without affinity masks, such as macOS and Windows
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, len(tasks), cpus)
     if workers <= 1:
         certificates = [check_case(n, kind) for n, kind in tasks]
     else:
+        # here, not at module level: only a forking scan pays for importing the pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-forking platforms

@@ -13,6 +13,7 @@ from class_spectrum import cli
 from class_spectrum.cache import SpectrumCache
 from class_spectrum.cli import dump_json, main
 from class_spectrum.verify import ChainBoundViolation
+from test_source import DEFERRED_MODULES
 
 
 def run_cli(capsys, *argv):
@@ -620,15 +621,19 @@ def test_spectrum_phi_prints_str_of_each_value(capsys, monkeypatch, tmp_path, ki
     assert entry.read_bytes() == written
 
 
-def test_importing_the_cli_leaves_decimal_unloaded():
-    # jsonable imports decimal only for a list with a large shared factor, so
-    # the set-up of every command stays without it
+def test_importing_the_cli_leaves_deferred_modules_unloaded():
+    # test_source.py keeps these out of module level; this checks a real
+    # import. A module that site already loads in a bare interpreter does not count
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, class_spectrum.cli; print(sorted({'decimal', '_decimal'} & set(sys.modules)))"],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "[]\n"
+    env = dict(os.environ, PYTHONPATH=src)
+    show = "import sys; print(' '.join(sorted(sys.modules)))"
+
+    def loaded(code):
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    bare = loaded(show)
+    with_cli = loaded("import class_spectrum.cli; " + show)
+    assert "class_spectrum.verify" in with_cli
+    assert sorted(set(DEFERRED_MODULES) & (with_cli - bare)) == []

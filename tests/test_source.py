@@ -52,6 +52,37 @@ def test_no_unused_imports():
     assert unused == []
 
 
+# modules that only some commands need: the fork pool, the cache's hashing and
+# temporary files, the CSV writers and jsonable's shared-factor path
+DEFERRED_MODULES = ("multiprocessing", "concurrent.futures", "hashlib", "tempfile", "csv", "decimal")
+
+
+def _import_time_imports(node):
+    # every module an import statement names outside a function body: class
+    # bodies and conditional blocks run when the module is imported
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield child.module
+            yield from (f"{child.module}.{alias.name}" for alias in child.names)
+        yield from _import_time_imports(child)
+
+
+def test_deferred_modules_are_imported_only_where_used():
+    # each of these costs every command's set-up, so each is imported inside
+    # the function that needs it; the fresh-interpreter check is in test_cli.py
+    found = [
+        f"{name} {module}"
+        for name, tree in TREES.items()
+        for module in _import_time_imports(tree)
+        if any(module == d or module.startswith(d + ".") for d in DEFERRED_MODULES)
+    ]
+    assert found == []
+
+
 def test_no_unreferenced_private_definitions():
     # a module-level _name that no source module uses is dead code; a
     # function's references to itself do not count

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import random
@@ -270,11 +271,12 @@ def test_scan_parallel_matches_serial():
         assert da == db
 
 
-@pytest.mark.parametrize("cpus, expected", [(64, [4]), (2, [2]), (None, [])])
-def test_scan_pool_capped_by_tasks_and_cpus(monkeypatch, cpus, expected):
-    # 23..24 x {sym, alt} is 4 tasks; a pool never gets more workers than
-    # tasks or CPUs, and a one-worker pool falls back to the serial loop.
-    # A pool is handed the costliest (highest) degrees first.
+def _recording_pool(monkeypatch, cpu_count, affinity):
+    """Replace the pool with an in-process stand-in and fix the CPU sources.
+
+    Returns the lists that receive each pool's size and the degrees handed
+    to it. Affinity None stands for a platform without affinity masks.
+    """
     sizes = []
     degrees = []
 
@@ -294,11 +296,35 @@ def test_scan_pool_capped_by_tasks_and_cpus(monkeypatch, cpus, expected):
             degrees.extend(degrees_in)
             return map(fn, degrees_in, kinds_in)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    # scan_range imports the pool class from concurrent.futures only when it forks
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpu_count)
+    if affinity is None:
+        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    return sizes, degrees
+
+
+@pytest.mark.parametrize("cpus, expected", [(64, [4]), (2, [2]), (None, [])])
+def test_scan_pool_capped_by_tasks_and_cpus(monkeypatch, cpus, expected):
+    # 23..24 x {sym, alt} is 4 tasks; a pool never gets more workers than
+    # tasks or CPUs, and a one-worker pool falls back to the serial loop.
+    # cpus None is a platform with neither an affinity mask nor a CPU count.
+    # A pool is handed the costliest (highest) degrees first.
+    sizes, degrees = _recording_pool(monkeypatch, cpus, None if cpus is None else range(cpus))
     report = scan_range(23, 24, jobs=5000)
     assert sizes == expected
     assert degrees == ([24, 24, 23, 23] if expected else [])
+    assert report.summary_dict() == scan_range(23, 24, jobs=1).summary_dict()
+
+
+def test_scan_pool_sized_by_the_affinity_mask(monkeypatch):
+    # pinned to one CPU of a 64-CPU machine, the scan runs serially instead
+    # of forking two workers onto that CPU
+    sizes, degrees = _recording_pool(monkeypatch, 64, {0})
+    report = scan_range(23, 24, jobs=2)
+    assert (sizes, degrees) == ([], [])
     assert report.summary_dict() == scan_range(23, 24, jobs=1).summary_dict()
 
 
