@@ -10,10 +10,9 @@ are produced as deduplicated ``Spectrum`` values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, EnumerationCapError, InvariantError
 from .partitions import CycleType, fixed_point_free_partitions, is_even
@@ -38,8 +37,7 @@ class GroupKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """A deduplicated, strictly increasing set of class sizes of V_n."""
 
     values: tuple[int, ...]

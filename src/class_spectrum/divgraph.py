@@ -26,11 +26,10 @@ that divides almost every value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, filterfalse
 from math import gcd
 from operator import not_
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvariantError
 
@@ -47,8 +46,7 @@ BLOCK = 8
 # `height` and `ChainResult` are not exported; they stay only because
 # perfbench/tests/test_helpers.py calls `divgraph.height`. Delete both when
 # that test calls `longest_chain` instead (ROADMAP item 1).
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(NamedTuple):
     """A maximal divisibility chain and its length under one convention.
 
     The witness is strictly increasing with each element dividing the

@@ -7,31 +7,45 @@ streams share its reverse lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class CycleType:
+class _CycleTypeFields(NamedTuple):
+    parts: tuple[tuple[int, int], ...] = ()
+
+
+class CycleType(_CycleTypeFields):
     """A multiset of cycle lengths, stored as (length, multiplicity) pairs.
 
     The canonical form keeps pairs sorted by decreasing length with positive
     multiplicities, so two cycle types are equal exactly when they are equal
     as multisets. Lengths of 1 are legal and denote explicit fixed points.
+    Every way to make one, the constructor, ``_make``, ``_replace``, copying
+    and unpickling, goes through ``__new__``, which checks that form.
     """
 
-    parts: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, parts: tuple[tuple[int, int], ...] = ()) -> "CycleType":
         prev = None
-        for length, mult in self.parts:
+        for length, mult in parts:
             if length < 1 or mult < 1:
                 raise DomainError(f"invalid cycle type entry ({length}, {mult})")
             if prev is not None and length >= prev:
                 raise DomainError("cycle type parts must be strictly decreasing by length")
             prev = length
+        return tuple.__new__(cls, (parts,))
+
+    # NamedTuple's _make, which _replace calls, builds the tuple without
+    # __new__, and so does unpickling at protocols 0 and 1
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "CycleType":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @staticmethod
     def from_parts(lengths: Iterable[int]) -> "CycleType":

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import DomainError, InvariantError
 
@@ -203,8 +203,7 @@ def shared_table(limit: int) -> PrimalityTable:
     return _shared
 
 
-@dataclass(frozen=True)
-class OmegaData:
+class OmegaData(NamedTuple):
     """Primes t with n/2 < t <= n, and p = max of that set."""
 
     n: int
@@ -236,8 +235,7 @@ def factorial_ratio(n: int, p: int) -> int:
     return math.prod(range(p + 1, n + 1))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Diagnostic comparison of exact pi(x) against the claimed envelope.
 
     The envelope sides are floats (1 ulp caveat); the hold flags use a
@@ -298,8 +296,7 @@ def _gap_holds(x: int, p: int) -> bool:
     return (x - p) ** GAP_EXPONENT_DEN < x**GAP_EXPONENT_NUM
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Outcome of evaluating the envelope on every x in (lo, hi]."""
 
     lo: int

@@ -18,10 +18,9 @@ import os
 import time
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .classes import GroupKind, group_order, moved_class_sizes, psi_members
 from .divgraph import EDGES, VERTICES, longest_chain
@@ -101,42 +100,46 @@ def _through_factor(values: Sequence[int], g: int) -> list[str]:
     return [str(exact.multiply(shared, v // g)) for v in values]
 
 
-@lru_cache(maxsize=None)
-def _field_names(cls: type) -> tuple[str, ...]:
-    # dataclasses.fields rebuilds its tuple on every call; a record class's fields never change
-    return tuple(f.name for f in fields(cls))
+# the types jsonable returns unchanged; a record's fields of these types are written inline
+_SCALARS = frozenset({type(None), bool, int, float, str})
 
 
 def jsonable(obj):
     """The JSON form of a result: every integer inside a list is a decimal string.
 
     Scalars (None, bool, int, float, str) stay as they are, so scalar
-    fields remain JSON numbers. A tuple or list becomes a list whose int
-    elements are decimal strings, since those hold the big integers (class
-    sizes, witness chains, prime sets). A list of ints that share a factor
-    of at least SHARED_FACTOR_BITS bits, such as a phi family, where every
-    size is n!/((n-t)! t) times a class size of Sym_{n-t}, is written
-    through that factor (``_through_factor``), with the same strings as
-    str(). A CycleType becomes its part list of ints, an Enum its value and
-    a dataclass a dict over its fields. A dict keeps its keys, except that
-    a tuple key is joined with "/". Anything else raises TypeError.
+    fields remain JSON numbers. A CycleType becomes its part list of ints
+    and any other record (a named tuple) a dict over its fields. Any other
+    tuple, or a list, becomes a list whose int elements are decimal
+    strings, since those hold the big integers (class sizes, witness
+    chains, prime sets). A list of ints that share a factor of at least
+    SHARED_FACTOR_BITS bits, such as a phi family, where every size is
+    n!/((n-t)! t) times a class size of Sym_{n-t}, is written through that
+    factor (``_through_factor``), with the same strings as str(). An Enum
+    becomes its value. A dict keeps its keys, except that a tuple key is
+    joined with "/". Anything else raises TypeError.
     """
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    cls = type(obj)
+    if cls in _SCALARS:
         return obj
-    if isinstance(obj, (tuple, list)):
-        g = _shared_factor(obj)
-        if g:
-            return _through_factor(obj, g)
-        return [str(v) if type(v) is int else jsonable(v) for v in obj]
-    if isinstance(obj, CycleType):
+    if cls is CycleType:
         return list(obj.part_list())
-    if isinstance(obj, Enum):
-        return obj.value
-    if is_dataclass(obj):
-        return {name: jsonable(getattr(obj, name)) for name in _field_names(type(obj))}
-    if isinstance(obj, dict):
-        return {"/".join(map(str, k)) if isinstance(k, tuple) else k: jsonable(v) for k, v in obj.items()}
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if cls is not tuple and cls is not list:  # plain tuples and lists skip to the list form
+        if isinstance(obj, (bool, int, float, str)):
+            return obj
+        if isinstance(obj, Enum):
+            return obj.value
+        names = getattr(cls, "_fields", None)
+        if names is not None:
+            return {name: v if type(v) in _SCALARS else jsonable(v) for name, v in zip(names, obj)}
+        if isinstance(obj, dict):
+            return {"/".join(map(str, k)) if isinstance(k, tuple) else k: jsonable(v) for k, v in obj.items()}
+        if not isinstance(obj, (tuple, list)):
+            raise TypeError(f"cannot serialize {cls.__name__}")
+    g = _shared_factor(obj)
+    if g:
+        return _through_factor(obj, g)
+    return [str(v) if type(v) is int else jsonable(v) for v in obj]
 
 
 class ChainBoundViolation(InvariantError):
@@ -148,8 +151,7 @@ class ChainBoundViolation(InvariantError):
     """
 
 
-@dataclass(frozen=True)
-class OmegaCheck:
+class OmegaCheck(NamedTuple):
     """Exact comparison 2^|Omega(n)| vs n!/p!, reported through bit lengths."""
 
     n: int
@@ -182,8 +184,7 @@ def check_omega_lemma(n: int, table: PrimalityTable | None = None) -> OmegaCheck
     )
 
 
-@dataclass(frozen=True)
-class OmegaSweep:
+class OmegaSweep(NamedTuple):
     start: int
     stop: int
     checked: int
@@ -245,8 +246,7 @@ def _moved_heights(kind: GroupKind, i: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class HzTableRow:
+class HzTableRow(NamedTuple):
     """Summed chain heights for residual support m, all kind/convention combos."""
 
     m: int
@@ -274,8 +274,7 @@ def hz_table(max_m: int, kinds: Sequence[GroupKind] = (GroupKind.SYM, GroupKind.
     return rows
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Machine-checkable record of one degree's verification outcome."""
 
     n: int
@@ -366,14 +365,13 @@ def check_case(n: int, kind: GroupKind) -> Certificate:
 PROBLEM_FIELDS = ("n", "kind", "verdict", "strategy", "h_value", "omega_count", "witness_chain", "reason")
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     """All certificates for a degree range, plus order-insensitive counts."""
 
     start: int
     stop: int
     kinds: tuple[GroupKind, ...]
-    certificates: list[Certificate] = field(default_factory=list)
+    certificates: list[Certificate]
 
     @property
     def counts(self) -> dict[str, int]:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +113,41 @@ def test_cycle_type_validation():
         partitions(-1)
     with pytest.raises(DomainError):
         fixed_point_free_partitions(-2)
+
+
+INVALID_PARTS = [((0, 1),), ((3, 0),), ((2, 1), (3, 1)), ((2, 1), (2, 1))]
+
+
+@pytest.mark.parametrize("parts", INVALID_PARTS)
+def test_cycle_type_validation_on_every_constructor_path(parts):
+    # a CycleType is a named tuple, whose _make (and so _replace) and
+    # unpickling would build the tuple without the checks in __new__
+    valid = CycleType(((2, 1),))
+    with pytest.raises(DomainError):
+        CycleType(parts)
+    with pytest.raises(DomainError):
+        CycleType._make([parts])
+    with pytest.raises(DomainError):
+        valid._replace(parts=parts)
+    # an invalid instance made behind the checks' back cannot survive pickling or copying
+    forged = tuple.__new__(CycleType, (parts,))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        payload = pickle.dumps(forged, protocol)
+        with pytest.raises(DomainError):
+            pickle.loads(payload)
+    with pytest.raises(DomainError):
+        copy.copy(forged)
+
+
+def test_cycle_type_constructor_paths_keep_valid_types():
+    ct = CycleType.from_parts([3, 2, 2])
+    assert CycleType._make([ct.parts]) == ct
+    assert ct._replace(parts=((5, 1),)) == CycleType.from_parts([5])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(ct, protocol)) == ct
+    assert type(copy.deepcopy(ct)) is CycleType
+    with pytest.raises(TypeError):
+        CycleType._make([ct.parts, ct.parts])
 
 
 def test_cycle_type_helpers():

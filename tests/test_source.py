@@ -83,6 +83,23 @@ def test_deferred_modules_are_imported_only_where_used():
     assert found == []
 
 
+def test_no_module_imports_dataclasses():
+    # records are named tuples: importing dataclasses (and with it inspect,
+    # ast, dis and tokenize) costs every command's set-up about 10 ms, so no
+    # module imports it, not even inside a function
+    found = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 def test_no_unreferenced_private_definitions():
     # a module-level _name that no source module uses is dead code; a
     # function's references to itself do not count

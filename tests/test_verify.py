@@ -1,12 +1,13 @@
 import concurrent.futures
 import json
 import math
+import pickle
 import random
 import sys
 
 import pytest
 
-from class_spectrum import verify
+from class_spectrum import divgraph, verify
 from class_spectrum import (
     EDGES,
     FAIL,
@@ -18,12 +19,15 @@ from class_spectrum import (
     DomainError,
     GroupKind,
     OmegaSweep,
+    bound_report,
+    chebyshev_sweep,
     check_case,
     check_omega_lemma,
     class_size,
     hz_table,
     longest_chain,
     moved_class_sizes,
+    omega_set,
     omega_sweep,
     phi_set,
     psi_set,
@@ -260,15 +264,54 @@ def test_scan_single_degree():
     assert kinds == [GroupKind.ALT, GroupKind.SYM]  # sorted by kind value
 
 
-def test_scan_parallel_matches_serial():
+def test_scan_parallel_matches_serial(monkeypatch):
+    # two CPUs, whatever the machine or its affinity mask allows, so the scan
+    # forks a real two-worker pool and its certificates come back pickled
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context=None):
+            pools.append(max_workers)
+            super().__init__(max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     serial = scan_range(23, 60, jobs=1)
+    assert pools == []
     parallel = scan_range(23, 60, jobs=2)
+    assert pools == [2]
     assert serial.summary_dict() == parallel.summary_dict()
     for a, b in zip(serial.certificates, parallel.certificates):
         da, db = jsonable(a), jsonable(b)
         da.pop("elapsed")
         db.pop("elapsed")
         assert da == db
+
+
+def test_every_record_type_survives_a_pickle_round_trip():
+    # the fork pool sends certificates, with their cycle types, back pickled;
+    # every record type must come back equal and of its own type
+    cert = check_case(1360, SYM)
+    records = [
+        cert,
+        cert.witness_cycle_types[0],
+        scan_range(23, 23),
+        hz_table(3)[0],
+        check_omega_lemma(1360),
+        omega_sweep(1360, 1362),
+        omega_set(30),
+        bound_report(100),
+        chebyshev_sweep(10, 50),
+        spectrum(SYM, 5),
+        divgraph.height([2, 4, 3, 8]),
+    ]
+    assert len({type(r) for r in records}) == 11
+    for record in records:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(record, protocol))
+            assert type(back) is type(record)
+            assert back == record
 
 
 def _recording_pool(monkeypatch, cpu_count, affinity):
