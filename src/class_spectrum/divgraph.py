@@ -22,12 +22,22 @@ out. Only the blocks whose gcd divides v are scanned, in ascending order,
 so the first divisor found is still the level's smallest. Blocks are
 short because the gcd of a whole level soon shrinks to a small number
 that divides almost every value.
+
+Given a common multiple N of every value, the DP stores each value's
+cofactor N // v in place of v and tests d | v as (N // v) | (N // d): on
+the divisors of N, x -> N // x reverses divisibility. The block screen
+becomes the lcm of the block's cofactors, which equals N // gcd(block),
+so the same blocks are skipped and scanned. Values are still taken in
+ascending order, so levels, parents and the witness are those of the
+plain DP. Each test is a remainder by a cofactor, which is small when
+the value is a large divisor of N, as the class sizes of a psi family
+are of n!/(n - m)!.
 """
 
 from __future__ import annotations
 
 from itertools import compress, filterfalse
-from math import gcd
+from math import gcd, lcm
 from operator import not_
 from typing import Iterable, NamedTuple
 
@@ -59,7 +69,7 @@ class ChainResult(NamedTuple):
     convention: str
 
 
-def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+def longest_chain(values: Iterable[int], multiple: int | None = None) -> tuple[int, tuple[int, ...]]:
     """(vertex count, witness) of a maximal divisibility chain.
 
     Values are taken in ascending order, and each level lists its values
@@ -73,6 +83,11 @@ def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     when no level does). Each level is an antichain, since a value never
     shares a level with one of its divisors.
 
+    With ``multiple``, a common multiple N of every value, the levels hold
+    the cofactors N // v, each block keeps their lcm, and d | v is tested
+    as (N // v) | (N // d); the result is the same. A value that does not
+    divide N, or an N below 1, raises DomainError.
+
     Ties are broken deterministically: a value's chain parent is the
     smallest of its divisors whose longest chain is longest, and the
     witness ends at the smallest value on the top level.
@@ -80,37 +95,49 @@ def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     vals = sorted(set(values))
     if vals and vals[0] < 1:
         raise DomainError("divisibility chains need values >= 1")
-    levels: list[list[list[int]]] = []  # level -> its blocks of ascending values
-    gcds: list[list[int]] = []  # level -> the gcd of each of its blocks
+    if multiple is None:
+        keys, combine = vals, gcd
+    else:
+        if multiple < 1:
+            raise DomainError(f"a common multiple must be >= 1, got {multiple}")
+        keys, combine = [], lcm
+        for v in vals:
+            cofactor, rest = divmod(multiple, v)
+            if rest:
+                raise DomainError(f"{v} does not divide the common multiple {multiple}")
+            keys.append(cofactor)
+    levels: list[list[list[int]]] = []  # level -> its blocks of ascending values (or their cofactors)
+    screens: list[list[int]] = []  # level -> the gcd (or cofactor lcm) of each of its blocks
     parent: dict[int, int] = {}
-    for v in vals:
-        remainder = v.__mod__
+    for key in keys:
+        # remainder(x) is 0 exactly when x is a divisor of v (or a divisor's cofactor)
+        remainder = key.__mod__ if multiple is None else key.__rmod__
         # levels below lo hold a divisor of v, levels from hi up hold none
         lo, hi = 0, len(levels)
         while lo < hi:
             mid = (lo + hi) // 2
-            # a block whose gcd leaves a remainder holds no divisor of v; the
+            # a block whose screen leaves a remainder holds no divisor of v; the
             # others are scanned in order, so the first divisor found is the smallest
-            for block in compress(levels[mid], map(not_, map(remainder, gcds[mid]))):
-                # values are >= 1, so 0 means no member divides v
+            for block in compress(levels[mid], map(not_, map(remainder, screens[mid]))):
+                # keys are >= 1, so 0 means no member divides v
                 divisor = next(filterfalse(remainder, block), 0)
                 if divisor:
                     # lo only rises here, so the last divisor found is on level lo - 1
-                    parent[v] = divisor
+                    parent[key] = divisor
                     lo = mid + 1
                     break
             else:
                 hi = mid
         if lo == len(levels):
             levels.append([])
-            gcds.append([])
-        blocks, block_gcds = levels[lo], gcds[lo]
+            screens.append([])
+        blocks, block_screens = levels[lo], screens[lo]
         if blocks and len(blocks[-1]) < BLOCK:
-            blocks[-1].append(v)
-            block_gcds[-1] = gcd(block_gcds[-1], v)
+            blocks[-1].append(key)
+            block_screens[-1] = combine(block_screens[-1], key)
         else:
-            blocks.append([v])
-            block_gcds.append(v)
+            blocks.append([key])
+            block_screens.append(key)
     height = len(levels)
     if not height:
         return 0, ()
@@ -118,6 +145,8 @@ def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     while chain[-1] in parent:
         chain.append(parent[chain[-1]])
     chain.reverse()
+    if multiple is not None:
+        chain = [multiple // c for c in chain]
     # 2h1 <= h2 <= ... forces the chain top to be at least 2^(len-1)
     if height > vals[-1].bit_length():
         raise InvariantError("doubling bound violated")

@@ -301,13 +301,17 @@ def check_case(n: int, kind: GroupKind) -> Certificate:
     shared table. The direct strategy takes t* = p; when there is an r,
     t* = 2r is also tried. Each candidate builds the small-support
     class-size family, measures its chain height under both conventions,
-    and records the summed per-support bound. The first candidate
-    evaluated is kept unless a later one has a strictly smaller vertex
-    height, so a tie keeps the direct strategy, which is tried first. A
-    candidate whose residual support n - t* exceeds SUPPORT_CAP is skipped
-    unbuilt. When every candidate is skipped, as first at n = 520523, the
-    certificate is INDETERMINATE: direct strategy, t* = p, height 0, an
-    empty witness, and the skip reasons as its reason.
+    and records the summed per-support bound. The chain DP runs on the
+    cofactors of n!/(n - m)!, m = n - t*: an element of Sym_n moving
+    j <= m points has class size n!/((n - j)! z), and in Alt_n that size
+    or half of it, so every size divides n!/(n - j)! and so n!/(n - m)!.
+    The first candidate evaluated is kept unless a later one has a
+    strictly smaller vertex height, so a tie keeps the direct strategy,
+    which is tried first. A candidate whose residual support n - t*
+    exceeds SUPPORT_CAP is skipped unbuilt. When every candidate is
+    skipped, as first at n = 520523, the certificate is INDETERMINATE:
+    direct strategy, t* = p, height 0, an empty witness, and the skip
+    reasons as its reason.
     """
     if n < 23:
         raise DomainError("check_case() covers degrees n >= 23")
@@ -330,7 +334,7 @@ def check_case(n: int, kind: GroupKind) -> Certificate:
         members: dict[int, CycleType] = {}
         for value, ct in psi_members(kind, n, t_star):
             members.setdefault(value, ct)
-        h_value, witness = longest_chain(members.keys())
+        h_value, witness = longest_chain(members.keys(), math.perm(n, m))
         h_sum = sum(_moved_heights(kind, i) for i in range(1, m + 1))
         if h_value > h_sum:
             raise ChainBoundViolation(

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,34 @@ class CountedInt(int):
         return int.__mod__(self, other)
 
 
+class CountedCofactor(int):
+    """An int that records the dividends of the remainders taken with it as the divisor."""
+
+    def __new__(cls, value):
+        self = super().__new__(cls, value)
+        self.dividends = []
+        return self
+
+    def __rmod__(self, other):
+        self.dividends.append(other)
+        return int.__rmod__(self, other)
+
+
+class WatchedMultiple(int):
+    """A common multiple that makes its cofactor of one watched value a CountedCofactor."""
+
+    def __new__(cls, value, watched):
+        self = super().__new__(cls, value)
+        self.watched = watched
+        return self
+
+    def __divmod__(self, other):
+        cofactor, rest = int.__divmod__(self, other)
+        if other == self.watched:
+            cofactor = self.cofactor = CountedCofactor(cofactor)
+        return cofactor, rest
+
+
 def test_examples():
     assert longest_chain([2, 4, 8, 16]) == (4, (2, 4, 8, 16))
     assert longest_chain([3, 5, 7]) == (1, (3,))
@@ -75,6 +105,18 @@ def test_rejects_bad_inputs():
         longest_chain([0, 2])
     with pytest.raises(DomainError):
         longest_chain([-3])
+
+
+def test_cofactor_mode_validates_its_multiple():
+    assert longest_chain([2, 4, 3, 8], 24) == (3, (2, 4, 8))
+    with pytest.raises(DomainError, match="^5 does not divide"):
+        longest_chain([2, 4, 5], 24)
+    for multiple in (0, -24):
+        with pytest.raises(DomainError, match="common multiple must be >= 1"):
+            longest_chain([2, 4], multiple)
+    with pytest.raises(DomainError, match="values >= 1"):
+        longest_chain([0, 2], 24)
+    assert longest_chain([], 1) == (0, ())
 
 
 def test_kept_height_applies_the_convention_to_longest_chain():
@@ -160,6 +202,17 @@ def test_matches_quadratic_dp_on_deep_levels(values):
 def test_matches_quadratic_dp_on_psi_families(kind, n, t):
     values = [size for size, _ in psi_members(kind, n, t)]
     assert longest_chain(values) == quadratic_longest_chain(values)
+    # every size of the family divides n!/(n - m)!, m = n - t
+    assert longest_chain(values, math.perm(n, n - t)) == quadratic_longest_chain(values)
+
+
+@pytest.mark.parametrize("family", [values_tied, values_deep, values_wide], ids=["tied", "deep", "wide"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cofactor_mode_matches_plain_dp(family, data):
+    values = data.draw(family)
+    multiple = math.lcm(*values) * data.draw(st.integers(min_value=1, max_value=10**6))
+    assert longest_chain(values, multiple) == longest_chain(values)
 
 
 def test_bisection_scans_logarithmically_many_levels():
@@ -215,3 +268,17 @@ def test_screen_skips_a_level_coprime_to_v():
     assert len(v.divisors) <= 8
     assert not set(v.divisors) & set(level)
     assert longest_chain(values) == quadratic_longest_chain(values)
+
+
+def test_cofactor_screen_skips_a_block_whose_lcm_the_cofactor_does_not_divide():
+    # the values of test_smallest_divisor_in_a_later_block in cofactor mode:
+    # the first block's cofactor lcm is N // 7, which v's cofactor N // v does
+    # not divide, as 7 does not divide v, so the block is skipped unscanned;
+    # the second block's is N // 3, so it is scanned up to 1056's cofactor
+    sevens = list(range(1001, 1051, 7))
+    threes = list(range(1053, 1077, 3))
+    v = 2**5 * 3**2 * 11 * 59
+    values = sevens + threes + [v]
+    multiple = WatchedMultiple(math.lcm(*values), v)
+    assert longest_chain(values, multiple) == (2, (1056, v)) == longest_chain(values)
+    assert multiple.cofactor.dividends == [multiple // d for d in (7, 3, 1053, 1056)]

@@ -153,6 +153,25 @@ def test_degree_facts_come_from_the_table_query():
     assert calls == []
 
 
+def test_check_case_runs_the_chain_dp_on_cofactors():
+    # every psi size of residual support m divides n!/(n - m)!, and the DP's
+    # remainders by cofactors of it are what keeps scan fast, so each
+    # longest_chain call in check_case passes math.perm(...) as the multiple
+    check_case = next(
+        node for node in TREES["verify.py"].body if isinstance(node, ast.FunctionDef) and node.name == "check_case"
+    )
+    calls = [
+        node
+        for node in ast.walk(check_case)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "longest_chain"
+    ]
+    assert calls
+    for call in calls:
+        keywords = {k.arg: k.value for k in call.keywords}
+        multiple = call.args[1] if len(call.args) > 1 else keywords.get("multiple")
+        assert multiple is not None and ast.unparse(multiple) == "math.perm(n, m)", ast.unparse(call)
+
+
 def _readers(tree, names):
     # the functions that read each of names; None stands for module level
     found = {name: set() for name in names}

@@ -255,6 +255,27 @@ def test_check_case_reruns_identical_except_elapsed():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
+@pytest.mark.parametrize("n", [1345, 1360])
+@pytest.mark.parametrize("kind", [SYM, ALT])
+def test_check_case_cofactor_dp_matches_the_plain_dp(monkeypatch, kind, n):
+    # at 1345 there is no r, so the kept direct witness (28 values for Sym,
+    # 17 for Alt) comes from the cofactor DP; at 1360 both candidates run
+    cofactor = check_case(n, kind)
+    multiples = []
+
+    def plain(values, multiple=None):
+        multiples.append(multiple)
+        return longest_chain(values)
+
+    monkeypatch.setattr(verify, "longest_chain", plain)
+    assert check_case(n, kind)._replace(elapsed=0) == cofactor._replace(elapsed=0)
+    p, r, _ = shared_table(n).degree_primes(n)
+    supports = [n - p] + ([] if r is None else [n - 2 * r])
+    assert multiples == [math.perm(n, m) for m in supports]
+    if n == 1345:
+        assert (cofactor.strategy, len(cofactor.witness_chain)) == (verify.STRATEGY_DIRECT, {SYM: 28, ALT: 17}[kind])
+
+
 def test_scan_single_degree():
     report = scan_range(23, 23)
     assert len(report.certificates) == 2
