@@ -145,6 +145,25 @@ def _core_states(m: int, flagged: bool) -> list[dict[int, None]]:
     return states
 
 
+# the flagged _core_states layers read by the psi, phi and moved families
+_cores: list[dict[int, None]] = []
+
+
+def _core_layers(m: int) -> list[dict[int, None]]:
+    """The flagged ``_core_states`` layers, one per support c, covering every c <= m.
+
+    Built once per process and reused: layer c holds every core of support
+    c however far the DP ran, so the list is rebuilt only when a caller
+    asks for a support past its last layer. Flagged states serve both
+    kinds, since Sym sizes ignore the parity bit. A forked worker inherits
+    whatever layers its parent had built.
+    """
+    global _cores
+    if len(_cores) <= m:
+        _cores = _core_states(m, True)
+    return _cores
+
+
 def _layer_sizes(kind: GroupKind, n: int, layers: Iterable[tuple[int, Iterable[int]]]) -> Iterator[int]:
     """Sizes in V_n of (support c, packed states of support c) layers.
 
@@ -183,7 +202,8 @@ def _fpf_cores(m: int) -> tuple[tuple[CycleType, int], ...]:
     the rows. The order of ``fixed_point_free_partitions`` defines the
     witness annotation: each row keeps the first type that walk yields
     with its state, and the rows come in the order of those first types,
-    largest part first.
+    largest part first. Only ``psi_members`` reads the rows; the families
+    read the same states from ``_core_layers`` without walking partitions.
     """
     first: dict[int, CycleType] = {}
     for ct in fixed_point_free_partitions(m):
@@ -194,13 +214,13 @@ def _fpf_cores(m: int) -> tuple[tuple[CycleType, int], ...]:
 def moved_class_sizes(kind: GroupKind, i: int) -> Spectrum:
     """Class sizes in V_i of elements that move all i points.
 
-    Read from the cores of support i in ``_fpf_cores``. Empty for i = 1;
-    for Alt only even types are admissible, and a type with no fixed
-    points splits as ``_sizes`` states.
+    Read from the cores of support i, layer i of ``_core_layers``. Empty
+    for i = 1; for Alt only even types are admissible, and a type with no
+    fixed points splits as ``_sizes`` states.
     """
     if i < 0:
         raise DomainError("moved_class_sizes() needs i >= 0")
-    values = _layer_sizes(kind, i, [(i, (state for _, state in _fpf_cores(i)))])
+    values = _layer_sizes(kind, i, [(i, _core_layers(i)[i])])
     return Spectrum.build(values, kind, i)
 
 
@@ -212,7 +232,7 @@ def phi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
     """
     if not (2 * t > n and t <= n):
         raise DomainError(f"phi_set needs n/2 < t <= n, got n={n}, t={t}")
-    layers = enumerate(_core_states(n - t, kind is GroupKind.ALT))
+    layers = enumerate(_core_layers(n - t)[: n - t + 1])
     # t > n - t, so the t-cycle is the only cycle of its length
     flip = kind is GroupKind.ALT and t % 2 == 0
     layers = ((c + t, ((state & ~1) * t | (state & 1) ^ flip for state in layer)) for c, layer in layers)
@@ -229,7 +249,9 @@ def psi_members(kind: GroupKind, n: int, t: int) -> Iterator[tuple[int, CycleTyp
     first pair that yields a size carries the first type, in support and
     partition order, with that size. A class that splits in Alt_n (see
     ``_sizes``) yields its common half size twice, once per class, with
-    the same type annotation.
+    the same type annotation. The families do not read it: it walks
+    partitions, so it serves only the annotation of a certificate's
+    witness chain, which stops at the support of the last witness type.
     """
     if t < 0 or t > n:
         raise DomainError(f"psi needs 0 <= t <= n, got n={n}, t={t}")
@@ -240,11 +262,23 @@ def psi_members(kind: GroupKind, n: int, t: int) -> Iterator[tuple[int, CycleTyp
                 yield s, ct
 
 
+def _psi_sizes(kind: GroupKind, n: int, t: int) -> Iterator[int]:
+    """The sizes psi_members yields, in no set order and unchecked, from ``_core_layers``.
+
+    Sym sizes repeat for cores that differ only in parity. ``check_case``
+    feeds them to the chain DP, which dedupes them, and ``psi_set`` builds
+    its Spectrum from them.
+    """
+    if t < 0 or t > n:
+        raise DomainError(f"psi needs 0 <= t <= n, got n={n}, t={t}")
+    layers = _core_layers(n - t)
+    return _layer_sizes(kind, n, ((m, layers[m]) for m in range(2, n - t + 1)))
+
+
 def psi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
     """Class sizes in V_n of elements moving between 2 and n - t points.
 
     Empty when n - t < 2. Computed through the closed form
     C(n, m) * |class in Sym_m| rather than by dividing group orders.
     """
-    values = (v for v, _ in psi_members(kind, n, t))
-    return Spectrum.build(values, kind, n)
+    return Spectrum.build(_psi_sizes(kind, n, t), kind, n)

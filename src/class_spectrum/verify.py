@@ -22,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .classes import GroupKind, group_order, moved_class_sizes, psi_members
+from .classes import GroupKind, _psi_sizes, group_order, moved_class_sizes, psi_members
 from .divgraph import EDGES, VERTICES, longest_chain
 from .errors import DomainError, InvariantError
 from .partitions import CycleType
@@ -263,6 +263,9 @@ def hz_table(max_m: int, kinds: Sequence[GroupKind] = (GroupKind.SYM, GroupKind.
     """
     if max_m < 2:
         raise DomainError("hz_table() needs max_m >= 2")
+    for kind in kinds:
+        # the largest support first, so the classes' core-state layers are built once
+        _moved_heights(kind, max_m)
     rows = []
     for m in range(2, max_m + 1):
         computed: dict[tuple[GroupKind, str], int] = {}
@@ -294,20 +297,42 @@ class Certificate(NamedTuple):
     reason: str | None = None
 
 
+def _witness_types(kind: GroupKind, n: int, t_star: int, witness: tuple[int, ...]) -> tuple[CycleType, ...]:
+    """The cycle type a certificate records beside each witness value.
+
+    Each value gets the first type ``psi_members(kind, n, t_star)`` yields
+    with it, as a value -> type dict filled by setdefault over the whole
+    family would give it. The walk stops once every value has its type, so
+    it reaches no support past the last witness type's.
+    """
+    first: dict[int, CycleType] = {}
+    if witness:
+        wanted = set(witness)
+        for value, ct in psi_members(kind, n, t_star):
+            if value in wanted and value not in first:
+                first[value] = ct
+                if len(first) == len(wanted):
+                    break
+    return tuple(first[v] for v in witness)
+
+
 def check_case(n: int, kind: GroupKind) -> Certificate:
     """Certify |Omega(n)| > h for the best strategy available at degree n.
 
     p, r and |Omega(n)| come from one ``degree_primes(n)`` query on the
     shared table. The direct strategy takes t* = p; when there is an r,
-    t* = 2r is also tried. Each candidate builds the small-support
-    class-size family, measures its chain height under both conventions,
-    and records the summed per-support bound. The chain DP runs on the
-    cofactors of n!/(n - m)!, m = n - t*: an element of Sym_n moving
-    j <= m points has class size n!/((n - j)! z), and in Alt_n that size
-    or half of it, so every size divides n!/(n - j)! and so n!/(n - m)!.
-    The first candidate evaluated is kept unless a later one has a
-    strictly smaller vertex height, so a tie keeps the direct strategy,
-    which is tried first. A candidate whose residual support n - t*
+    t* = 2r is also tried. Each candidate reads the sizes of the
+    small-support class-size family from the cached core states of
+    ``classes._core_layers``, with no cycle types and no Lagrange pass,
+    measures its chain height under both conventions, and records the
+    summed per-support bound. The chain DP runs on the cofactors of
+    n!/(n - m)!, m = n - t*: an element of Sym_n moving j <= m points has
+    class size n!/((n - j)! z), and in Alt_n that size or half of it, so
+    every size divides n!/(n - j)! and so n!/(n - m)!. The first
+    candidate evaluated is kept unless a later one has a strictly smaller
+    vertex height, so a tie keeps the direct strategy, which is tried
+    first. Only the kept candidate's witness values get cycle types
+    (``_witness_types``). A candidate whose residual support n - t*
     exceeds SUPPORT_CAP is skipped unbuilt. When every candidate is
     skipped, as first at n = 520523, the certificate is INDETERMINATE:
     direct strategy, t* = p, height 0, an empty witness, and the skip
@@ -322,19 +347,16 @@ def check_case(n: int, kind: GroupKind) -> Certificate:
     if r is not None:
         candidates.append((STRATEGY_R_TRICK, r, 2 * r))
 
-    # (h_value, strategy, r, t*, h_sum, witness, members), INDETERMINATE until a candidate is evaluated
+    # (h_value, strategy, r, t*, h_sum, witness), INDETERMINATE until a candidate is evaluated
     verdict = INDETERMINATE
-    best = (0, STRATEGY_DIRECT, None, p, 0, (), {})
+    best = (0, STRATEGY_DIRECT, None, p, 0, ())
     skipped = []
     for strategy, r_value, t_star in candidates:
         m = n - t_star
         if m > SUPPORT_CAP:
             skipped.append(f"{strategy}: residual support {m} exceeds cap {SUPPORT_CAP}")
             continue
-        members: dict[int, CycleType] = {}
-        for value, ct in psi_members(kind, n, t_star):
-            members.setdefault(value, ct)
-        h_value, witness = longest_chain(members.keys(), math.perm(n, m))
+        h_value, witness = longest_chain(_psi_sizes(kind, n, t_star), math.perm(n, m))
         h_sum = sum(_moved_heights(kind, i) for i in range(1, m + 1))
         if h_value > h_sum:
             raise ChainBoundViolation(
@@ -343,9 +365,9 @@ def check_case(n: int, kind: GroupKind) -> Certificate:
             )
         if verdict == INDETERMINATE or h_value < best[0]:
             verdict = PASS if omega_count > h_value else FAIL
-            best = (h_value, strategy, r_value, t_star, h_sum, witness, members)
+            best = (h_value, strategy, r_value, t_star, h_sum, witness)
 
-    h_value, strategy, r_value, t_star, h_sum, witness, members = best
+    h_value, strategy, r_value, t_star, h_sum, witness = best
     return Certificate(
         n=n,
         kind=kind,
@@ -359,7 +381,7 @@ def check_case(n: int, kind: GroupKind) -> Certificate:
         h_sum_bound=h_sum,
         verdict=verdict,
         witness_chain=witness,
-        witness_cycle_types=tuple(members[v] for v in witness),
+        witness_cycle_types=_witness_types(kind, n, t_star, witness),
         elapsed=time.perf_counter() - started,
         reason="; ".join(skipped) if verdict == INDETERMINATE else None,
     )
@@ -433,13 +455,15 @@ def scan_range(
     """Run check_case over [start, stop] x kinds, optionally in parallel.
 
     Each process, the caller or a forked worker, grows the shared
-    primality table and fills the per-support chain heights and
-    ``classes._fpf_cores`` lazily, as its own check_case calls first need
-    them. The pool never holds more workers than there are tasks or CPUs
-    this process may run on, and a scan that would get one worker runs
-    serially, without importing the pool. It takes the tasks in chunks of
-    four from the highest degree down, so the costliest degrees start first
-    instead of arriving together in the last chunk. Certificates are sorted
+    primality table, the per-support chain heights and the core-state
+    layers of ``classes._core_layers`` lazily, as its own check_case calls
+    first need them; it walks partitions (``classes._fpf_cores``) only up
+    to the support of the last witness type it annotates. The pool never
+    holds more workers than there are tasks or CPUs this process may run
+    on, and a scan that would get one worker runs serially, without
+    importing the pool. It takes the tasks in chunks of four from the
+    highest degree down, so the costliest degrees start first instead of
+    arriving together in the last chunk. Certificates are sorted
     by (n, kind); the aggregate does not depend on scheduling. It raises
     DomainError for jobs below 1 or a repeated kind.
     """

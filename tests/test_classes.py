@@ -152,6 +152,23 @@ def test_core_packs_the_state_of_core_states(m):
     assert {s for _, s in _fpf_cores(m)} == layer.keys()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_psi_set_from_core_states_matches_psi_members(kind):
+    # psi_set reads the cached core-state layers and psi_members walks the
+    # fixed-point-free partitions; both must give the same family. (1360,
+    # 1327) is the scan's widest direct family, residual support 33
+    cases = [(n, t) for n in range(0, 31) for t in range(0, n + 1)] + [(1360, 1327)]
+    for n, t in cases:
+        assert psi_set(kind, n, t).values == tuple(sorted({v for v, _ in psi_members(kind, n, t)})), (n, t)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_moved_class_sizes_from_core_states_match_fpf_rows(kind):
+    for i in range(0, 34):
+        walked = {s for ct, _ in _fpf_cores(i) if admissible(kind, i, ct) for s in class_size(kind, i, ct)}
+        assert set(moved_class_sizes(kind, i).values) == walked, i
+
+
 def test_moved_class_sizes_examples():
     assert moved_class_sizes(SYM, 4).values == (3, 6)
     assert moved_class_sizes(SYM, 1).values == ()

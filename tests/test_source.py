@@ -188,6 +188,18 @@ def _readers(tree, names):
     return found
 
 
+def test_only_the_witness_annotation_walks_partitions():
+    # check_case and the psi, phi and moved families read class sizes from
+    # the cached core states of classes._core_layers; cycle types come from
+    # the partition walk behind psi_members and _fpf_cores, which only the
+    # annotation of a kept witness chain reads
+    readers = {"psi_members": set(), "_fpf_cores": set()}
+    for tree in TREES.values():
+        for name, owners in _readers(tree, list(readers)).items():
+            readers[name] |= owners
+    assert readers == {"psi_members": {"_witness_types"}, "_fpf_cores": {"psi_members"}}
+
+
 def test_bound_formulas_have_one_home():
     # bound_report and chebyshev_sweep both evaluate the envelope through
     # _envelope and the gap bound through _gap_holds, so the two cannot flag

@@ -1,9 +1,12 @@
 import concurrent.futures
 import json
 import math
+import os
 import pickle
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +33,7 @@ from class_spectrum import (
     omega_set,
     omega_sweep,
     phi_set,
+    psi_members,
     psi_set,
     scan_range,
     shared_table,
@@ -274,6 +278,83 @@ def test_check_case_cofactor_dp_matches_the_plain_dp(monkeypatch, kind, n):
     assert multiples == [math.perm(n, m) for m in supports]
     if n == 1345:
         assert (cofactor.strategy, len(cofactor.witness_chain)) == (verify.STRATEGY_DIRECT, {SYM: 28, ALT: 17}[kind])
+
+
+def _check_case_by_members(n, kind):
+    # check_case as it was before families were read from core states: each
+    # candidate fills a full size -> first type dict from psi_members, runs
+    # the plain DP on its keys, and the kept candidate's dict annotates the
+    # witness
+    p, r, omega_count = shared_table(n).degree_primes(n)
+    candidates = [(verify.STRATEGY_DIRECT, None, p)] + ([] if r is None else [(verify.STRATEGY_R_TRICK, r, 2 * r)])
+    best, skipped = None, []
+    for strategy, r_value, t_star in candidates:
+        m = n - t_star
+        if m > verify.SUPPORT_CAP:
+            skipped.append(f"{strategy}: residual support {m} exceeds cap {verify.SUPPORT_CAP}")
+            continue
+        members = {}
+        for value, ct in psi_members(kind, n, t_star):
+            members.setdefault(value, ct)
+        h_value, witness = longest_chain(members)
+        if best is None or h_value < best[0]:
+            h_sum = sum(longest_chain(moved_class_sizes(kind, i).values)[0] for i in range(1, m + 1))
+            best = (h_value, strategy, r_value, t_star, h_sum, witness, members)
+    indeterminate = (0, verify.STRATEGY_DIRECT, None, p, 0, (), {})
+    h_value, strategy, r_value, t_star, h_sum, witness, members = best or indeterminate
+    verdict = INDETERMINATE if best is None else PASS if omega_count > h_value else FAIL
+    return verify.Certificate(
+        n=n,
+        kind=kind,
+        strategy=strategy,
+        r=r_value,
+        t_star=t_star,
+        support_m=n - t_star,
+        omega_count=omega_count,
+        h_value=h_value,
+        h_value_edges=max(h_value - 1, 0),
+        h_sum_bound=h_sum,
+        verdict=verdict,
+        witness_chain=witness,
+        witness_cycle_types=tuple(members[v] for v in witness),
+        elapsed=0,
+        reason="; ".join(skipped) if best is None else None,
+    )
+
+
+@pytest.mark.parametrize("n", [1345, 1360, 31458, 520523])
+@pytest.mark.parametrize("kind", [SYM, ALT])
+def test_check_case_matches_full_members_annotation(kind, n):
+    # check_case gives cycle types only to the kept witness, walking
+    # psi_members just until every witness value has its first type; the
+    # certificate must be the one a full size -> type dict gives
+    assert check_case(n, kind)._replace(elapsed=0) == _check_case_by_members(n, kind)
+
+
+def test_scan_walks_partitions_only_to_the_witness_supports():
+    # in a fresh interpreter, so no earlier test has filled the caches: hz_table
+    # asks for its largest support first and builds the core-state layers
+    # once, and a scan walks fixed-point-free partitions (classes._fpf_cores)
+    # no further than the largest support of a witness type it records
+    code = (
+        "from class_spectrum import classes, verify\n"
+        "calls = []\n"
+        "core_states = classes._core_states\n"
+        "classes._core_states = lambda m, flagged: calls.append(m) or core_states(m, flagged)\n"
+        "verify.hz_table(33)\n"
+        "print(calls)\n"
+        "report = verify.scan_range(1340, 1361)\n"
+        "print(classes._fpf_cores.cache_info().currsize)\n"
+        "print(max(ct.support for cert in report.certificates for ct in cert.witness_cycle_types))\n"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls, walked, largest = proc.stdout.splitlines()
+    assert calls == "[33]"
+    assert 1 <= int(walked) <= int(largest)
 
 
 def test_scan_single_degree():
