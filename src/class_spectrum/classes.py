@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, EnumerationCapError, InvariantError
@@ -45,11 +46,14 @@ class Spectrum(NamedTuple):
     @classmethod
     def build(cls, values: Iterable[int], kind: GroupKind, n: int) -> "Spectrum":
         vals = tuple(sorted(set(values)))
-        order = group_order(kind, n)
-        for v in vals:
-            # Lagrange: every class size divides the group order
-            if v < 1 or order % v:
-                raise InvariantError(f"{v} is not a class size of {kind}_{n}")
+        # Lagrange: every class size divides the group order. order % v is no
+        # test for v < 1, so the smallest value is checked for that first
+        if vals and vals[0] < 1:
+            bad = vals[0]
+        else:
+            bad = next(compress(vals, map(group_order(kind, n).__mod__, vals)), None)
+        if bad is not None:
+            raise InvariantError(f"{bad} is not a class size of {kind}_{n}")
         return cls(vals)
 
 
@@ -62,15 +66,15 @@ def group_order(kind: GroupKind, n: int) -> int:
     return math.factorial(n) // 2 if n >= 2 else 1
 
 
-def _core(ct: CycleType) -> tuple[int, int]:
-    """(support, packed state) of the moved part of ct, the parts of length >= 2.
+def _core(ct: CycleType) -> tuple[int, int, bool]:
+    """(support c, centralizer factor z, even) of the moved part of ct, the parts of length >= 2.
 
-    Length-1 parts are fixed points and belong with the padding. The state
-    packs 2z + even, as ``_core_states`` does: z is the centralizer factor
+    Length-1 parts are fixed points and belong with the padding. z is
     prod(k^m * m!) over the moved parts, and the type is even when it has
     an even number of even-length cycles. z is odd exactly when every
     moved length k is odd and occurs once (m = 1), so z's parity also says
-    whether the moved cycles are odd and pairwise distinct.
+    whether the moved cycles are odd and pairwise distinct, and an odd z
+    only comes with an even type.
     """
     c = 0
     z = 1
@@ -78,24 +82,23 @@ def _core(ct: CycleType) -> tuple[int, int]:
         if k >= 2:
             c += k * m
             z *= k**m * math.factorial(m)
-    return c, 2 * z | is_even(ct)
+    return c, z, is_even(ct)
 
 
-def _sizes(kind: GroupKind, n: int, placed: int, c: int, state: int) -> tuple[int, ...]:
-    """Class sizes in V_n of a core (support c, packed state) padded by n - c fixed points.
+def _sizes(kind: GroupKind, n: int, placed: int, c: int, z: int, even: bool) -> tuple[int, ...]:
+    """Class sizes in V_n of the core (support c, z, even) padded by n - c fixed points.
 
-    The state is 2z + even, as ``_core`` packs it, and ``placed`` is
-    n!/(n-c)!, the ordered placements of the c moved points. The Sym_n
-    class has n!/((n-c)! * z) elements. In Alt_n (n >= 2) an odd type has
-    no class, giving (). The Sym_n class splits into two equal Alt_n
-    classes exactly when the padded type has all parts odd and pairwise
-    distinct, i.e. z is odd and there is at most one fixed point; then
-    both halves are returned.
+    ``placed`` is n!/(n-c)!, the ordered placements of the c moved points.
+    The Sym_n class has n!/((n-c)! * z) elements. In Alt_n (n >= 2) an odd
+    type has no class, giving (). The Sym_n class splits into two equal
+    Alt_n classes exactly when the padded type has all parts odd and
+    pairwise distinct, i.e. z is odd and there is at most one fixed point;
+    then both halves are returned. ``_layer_sizes`` applies the same rule
+    to whole layers.
     """
     alt = kind is GroupKind.ALT and n >= 2
-    if alt and not state & 1:
+    if alt and not even:
         return ()
-    z = state >> 1
     s = placed // z
     if alt and z & 1 and n - c <= 1:
         return (s // 2, s // 2)
@@ -110,52 +113,57 @@ def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
     """
     if ct.support > n:
         raise DomainError(f"cycle type covers {ct.support} points, exceeding degree {n}")
-    c, state = _core(ct)
-    sizes = _sizes(kind, n, math.perm(n, c), c, state)
+    c, z, even = _core(ct)
+    sizes = _sizes(kind, n, math.perm(n, c), c, z, even)
     if not sizes:
         raise DomainError(f"cycle type {ct} is odd, not in Alt_{n}")
     return list(sizes)
 
 
-def _core_states(m: int, flagged: bool) -> list[dict[int, None]]:
-    """Per support c <= m, the packed state of every distinct core of support c.
+# one support's cores: the z of its even types and the z of its odd types, as dict keys
+_Layer = tuple[dict[int, None], dict[int, None]]
 
-    Layer c holds each state, packed as 2z + even as in ``_core``, as a
-    dict key; as sets the layers raised the peak RSS of ``spectrum`` at
-    n = 45 by about 1 MB. Without ``flagged`` (Sym, whose sizes ignore the
-    parity) the parity bit stays 0, so states merge by z alone. The DP
-    takes cycle lengths k = 2..m in ascending order and extends every state
-    of support c by j = 1, 2, ... k-cycles: going from j - 1 to j
-    multiplies z by k*j and, for even k, flips the parity. Supports are
-    taken from the top down, so a state made for this k is not extended by
-    k again, and equal states merge before any size is divided out.
+
+def _core_states(m: int, flagged: bool) -> list[_Layer]:
+    """Per support c <= m, the centralizer factor z of every distinct core of support c.
+
+    Layer c is a pair of keys-only dicts, the z of the even cores and the
+    z of the odd ones, as in ``_core``; as sets the layers raised the peak
+    RSS of ``spectrum`` at n = 45 by about 1 MB. Without ``flagged`` (Sym,
+    whose sizes ignore the parity) every z goes to the first dict, so cores
+    merge by z alone. The DP takes cycle lengths k = 2..m in ascending
+    order and extends each dict of support c by j = 1, 2, ... k-cycles at
+    once: that multiplies every z by k^j * j! in one C-level map, and for
+    even k and odd j moves it to the other parity's dict. Supports are
+    taken from the top down, so a core made for this k is not extended by
+    k again, and equal cores merge before any size is divided out.
     """
-    states: list[dict[int, None]] = [{} for _ in range(m + 1)]
-    states[0][3 if flagged else 2] = None  # the empty type: z = 1, even
+    layers: list[_Layer] = [({}, {}) for _ in range(m + 1)]
+    layers[0][0][1] = None  # the empty type: z = 1, even
     for k in range(2, m + 1):
         flip = flagged and k % 2 == 0
         for c in range(m - k, -1, -1):
-            for state in states[c]:
-                z2 = state & ~1
-                even = state & 1
-                odd = even ^ flip
+            for odd, zs in enumerate(layers[c]):
+                if not zs:
+                    continue
+                mult = 1
                 for j, d in enumerate(range(c + k, m + 1, k), 1):
-                    z2 *= k * j
-                    states[d][z2 | (odd if j % 2 else even)] = None
-    return states
+                    mult *= k * j
+                    layers[d][odd ^ (flip and j & 1)].update(zip(map(mult.__mul__, zs), repeat(None)))
+    return layers
 
 
 # the flagged _core_states layers read by the psi, phi and moved families
-_cores: list[dict[int, None]] = []
+_cores: list[_Layer] = []
 
 
-def _core_layers(m: int) -> list[dict[int, None]]:
-    """The flagged ``_core_states`` layers, one per support c, covering every c <= m.
+def _core_layers(m: int) -> list[_Layer]:
+    """The flagged ``_core_states`` layers, one (even, odd) pair per support c, covering every c <= m.
 
     Built once per process and reused: layer c holds every core of support
     c however far the DP ran, so the list is rebuilt only when a caller
-    asks for a support past its last layer. Flagged states serve both
-    kinds, since Sym sizes ignore the parity bit. A forked worker inherits
+    asks for a support past its last layer. Flagged layers serve both
+    kinds, since Sym reads both dicts of a layer. A forked worker inherits
     whatever layers its parent had built.
     """
     global _cores
@@ -164,15 +172,30 @@ def _core_layers(m: int) -> list[dict[int, None]]:
     return _cores
 
 
-def _layer_sizes(kind: GroupKind, n: int, layers: Iterable[tuple[int, Iterable[int]]]) -> Iterator[int]:
-    """Sizes in V_n of (support c, packed states of support c) layers.
+def _layer_sizes(kind: GroupKind, n: int, c: int, placed: int, layers: Iterable[_Layer]) -> Iterator[int]:
+    """Sizes in V_n of consecutive core layers of supports c, c + 1, ..., in no set order.
 
-    n!/(n-c)! is computed once per layer and shared by its states.
+    ``placed`` is n!/(n-c)! for the first layer and is carried to the next
+    by one multiplication. Each layer's sizes are placed // z over its
+    dicts, one lazy C-level map per dict, and the maps are chained in C, so
+    no Python step runs per size: Sym reads both dicts and Alt_n (n >= 2)
+    only the even one. The split of ``_sizes`` runs per core only on the
+    layers with at most one fixed point, c >= n - 1; a split class gives
+    its half size once.
     """
-    for c, states in layers:
-        placed = math.perm(n, c)
-        for state in states:
-            yield from _sizes(kind, n, placed, c, state)
+    alt = kind is GroupKind.ALT and n >= 2
+    maps: list[Iterable[int]] = []
+    for evens, odds in layers:
+        if not alt:
+            maps += map(placed.__floordiv__, evens), map(placed.__floordiv__, odds)
+        elif n - c > 1:
+            maps.append(map(placed.__floordiv__, evens))
+        else:
+            half = placed // 2
+            maps.append([half // z if z & 1 else placed // z for z in evens])
+        placed *= n - c
+        c += 1
+    return chain.from_iterable(maps)
 
 
 def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) -> Spectrum:
@@ -180,8 +203,10 @@ def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) ->
 
     Every type of degree n is a fixed-point-free core of support c <= n
     padded by fixed points, so the sizes are read from ``_core_states(n)``,
-    which merges types of equal core. Degrees above ``cap`` are refused
-    unless the caller raises the cap or disables it with cap=None.
+    which merges types of equal core. It builds its own layers rather than
+    filling the ``_core_layers`` cache, which would then hold them for the
+    rest of the process. Degrees above ``cap`` are refused unless the
+    caller raises the cap or disables it with cap=None.
     """
     if n < 1:
         raise DomainError("spectrum() needs n >= 1")
@@ -190,25 +215,25 @@ def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) ->
             f"full spectrum at n={n} exceeds the degree cap {cap}; "
             f"pass a cap of at least {n} (--cap {n}, or cap=None in the library) to compute it"
         )
-    layers = enumerate(_core_states(n, kind is GroupKind.ALT))
-    return Spectrum.build(_layer_sizes(kind, n, layers), kind, n)
+    layers = _core_states(n, kind is GroupKind.ALT)
+    return Spectrum.build(_layer_sizes(kind, n, 0, 1, layers), kind, n)
 
 
 @lru_cache(maxsize=None)
-def _fpf_cores(m: int) -> tuple[tuple[CycleType, int], ...]:
-    """(first type, packed state) per distinct core of support m.
+def _fpf_cores(m: int) -> tuple[tuple[CycleType, int, bool], ...]:
+    """(first type, z, even) per distinct core of support m.
 
-    One row per 2z + even state, as ``_core`` packs it, so both kinds share
+    One row per (z, even) core, as ``_core`` gives it, so both kinds share
     the rows. The order of ``fixed_point_free_partitions`` defines the
     witness annotation: each row keeps the first type that walk yields
-    with its state, and the rows come in the order of those first types,
+    with its core, and the rows come in the order of those first types,
     largest part first. Only ``psi_members`` reads the rows; the families
-    read the same states from ``_core_layers`` without walking partitions.
+    read the same cores from ``_core_layers`` without walking partitions.
     """
-    first: dict[int, CycleType] = {}
+    first: dict[tuple[int, bool], CycleType] = {}
     for ct in fixed_point_free_partitions(m):
-        first.setdefault(_core(ct)[1], ct)
-    return tuple((ct, state) for state, ct in first.items())
+        first.setdefault(_core(ct)[1:], ct)
+    return tuple((ct, z, even) for (z, even), ct in first.items())
 
 
 def moved_class_sizes(kind: GroupKind, i: int) -> Spectrum:
@@ -220,31 +245,37 @@ def moved_class_sizes(kind: GroupKind, i: int) -> Spectrum:
     """
     if i < 0:
         raise DomainError("moved_class_sizes() needs i >= 0")
-    values = _layer_sizes(kind, i, [(i, _core_layers(i)[i])])
+    values = _layer_sizes(kind, i, i, math.factorial(i), [_core_layers(i)[i]])
     return Spectrum.build(values, kind, i)
 
 
 def phi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
     """Class sizes of elements made of one t-cycle plus anything on the rest.
 
-    Requires n/2 < t <= n, so the t-cycle is unique in the type. For Alt
-    the parity and splitting rules are applied to the combined type.
+    Requires n/2 < t <= n, so the t-cycle is unique in the type: a core
+    (c, z, even) of ``_core_layers(n - t)`` gives the type of support c + t
+    with factor z * t, odd when t is even. So for even t the two dicts of
+    each layer swap, and the sizes are n!/(n-c-t)! // (z * t), read as
+    (n!/(n-c-t)! / t) // z. That quotient is exact at c = 0, since t
+    divides the t consecutive factors of n!/(n-t)!, and ``_layer_sizes``
+    carries it to the next layer by one multiplication. For Alt the parity
+    and splitting rules are applied to the combined type: an odd z * t
+    needs an odd t, so the split reads the parity of z alone.
     """
     if not (2 * t > n and t <= n):
         raise DomainError(f"phi_set needs n/2 < t <= n, got n={n}, t={t}")
-    layers = enumerate(_core_layers(n - t)[: n - t + 1])
-    # t > n - t, so the t-cycle is the only cycle of its length
-    flip = kind is GroupKind.ALT and t % 2 == 0
-    layers = ((c + t, ((state & ~1) * t | (state & 1) ^ flip for state in layer)) for c, layer in layers)
-    return Spectrum.build(_layer_sizes(kind, n, layers), kind, n)
+    layers = _core_layers(n - t)[: n - t + 1]
+    if t % 2 == 0:
+        layers = [(odds, evens) for evens, odds in layers]
+    return Spectrum.build(_layer_sizes(kind, n, t, math.perm(n, t) // t, layers), kind, n)
 
 
 def psi_members(kind: GroupKind, n: int, t: int) -> Iterator[tuple[int, CycleType]]:
     """(class size, fixed-point-free cycle type) pairs behind psi_set.
 
     Supports m run over 2 <= m <= n - t. Each distinct core of support m,
-    a (first type, 2z + even state) row of ``_fpf_cores``, yields its sizes
-    once, annotated with its first type in ``fixed_point_free_partitions``
+    a (first type, z, even) row of ``_fpf_cores``, yields its sizes once,
+    annotated with its first type in ``fixed_point_free_partitions``
     order, and the rows come in the order of those first types. So the
     first pair that yields a size carries the first type, in support and
     partition order, with that size. A class that splits in Alt_n (see
@@ -257,8 +288,8 @@ def psi_members(kind: GroupKind, n: int, t: int) -> Iterator[tuple[int, CycleTyp
         raise DomainError(f"psi needs 0 <= t <= n, got n={n}, t={t}")
     for m in range(2, n - t + 1):
         placed = math.perm(n, m)
-        for ct, state in _fpf_cores(m):
-            for s in _sizes(kind, n, placed, m, state):
+        for ct, z, even in _fpf_cores(m):
+            for s in _sizes(kind, n, placed, m, z, even):
                 yield s, ct
 
 
@@ -271,8 +302,7 @@ def _psi_sizes(kind: GroupKind, n: int, t: int) -> Iterator[int]:
     """
     if t < 0 or t > n:
         raise DomainError(f"psi needs 0 <= t <= n, got n={n}, t={t}")
-    layers = _core_layers(n - t)
-    return _layer_sizes(kind, n, ((m, layers[m]) for m in range(2, n - t + 1)))
+    return _layer_sizes(kind, n, 2, math.perm(n, 2), _core_layers(n - t)[2 : n - t + 1])
 
 
 def psi_set(kind: GroupKind, n: int, t: int) -> Spectrum:

@@ -22,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .classes import GroupKind, _psi_sizes, group_order, moved_class_sizes, psi_members
+from .classes import GroupKind, _core_layers, _psi_sizes, group_order, moved_class_sizes, psi_members
 from .divgraph import EDGES, VERTICES, longest_chain
 from .errors import DomainError, InvariantError
 from .partitions import CycleType
@@ -316,20 +316,32 @@ def _witness_types(kind: GroupKind, n: int, t_star: int, witness: tuple[int, ...
     return tuple(first[v] for v in witness)
 
 
+def _candidates(p: int, r: int | None) -> list[tuple[str, int | None, int]]:
+    """(strategy, r, t*) of each strategy ``check_case`` tries, in order, at a degree with these p and r.
+
+    The direct strategy takes t* = p; when there is an r, t* = 2r is also
+    tried. Since 2r > p + 1, the r-trick's residual support n - 2r is the
+    smaller one.
+    """
+    candidates: list[tuple[str, int | None, int]] = [(STRATEGY_DIRECT, None, p)]
+    if r is not None:
+        candidates.append((STRATEGY_R_TRICK, r, 2 * r))
+    return candidates
+
+
 def check_case(n: int, kind: GroupKind) -> Certificate:
     """Certify |Omega(n)| > h for the best strategy available at degree n.
 
     p, r and |Omega(n)| come from one ``degree_primes(n)`` query on the
-    shared table. The direct strategy takes t* = p; when there is an r,
-    t* = 2r is also tried. Each candidate reads the sizes of the
-    small-support class-size family from the cached core states of
-    ``classes._core_layers``, with no cycle types and no Lagrange pass,
-    measures its chain height under both conventions, and records the
-    summed per-support bound. The chain DP runs on the cofactors of
-    n!/(n - m)!, m = n - t*: an element of Sym_n moving j <= m points has
-    class size n!/((n - j)! z), and in Alt_n that size or half of it, so
-    every size divides n!/(n - j)! and so n!/(n - m)!. The first
-    candidate evaluated is kept unless a later one has a strictly smaller
+    shared table, and the candidate strategies from ``_candidates``. Each
+    candidate reads the sizes of the small-support class-size family from
+    the cached core states of ``classes._core_layers``, with no cycle types
+    and no Lagrange pass, measures its chain height under both
+    conventions, and records the summed per-support bound. The chain DP
+    runs on the cofactors of n!/(n - m)!, m = n - t*: an element of Sym_n
+    moving j <= m points has class size n!/((n - j)! z), and in Alt_n that
+    size or half of it, so every size divides n!/(n - j)! and so
+    n!/(n - m)!. The first candidate evaluated is kept unless a later one has a strictly smaller
     vertex height, so a tie keeps the direct strategy, which is tried
     first. Only the kept candidate's witness values get cycle types
     (``_witness_types``). A candidate whose residual support n - t*
@@ -343,15 +355,11 @@ def check_case(n: int, kind: GroupKind) -> Certificate:
     started = time.perf_counter()
     p, r, omega_count = shared_table(n).degree_primes(n)
 
-    candidates: list[tuple[str, int | None, int]] = [(STRATEGY_DIRECT, None, p)]
-    if r is not None:
-        candidates.append((STRATEGY_R_TRICK, r, 2 * r))
-
     # (h_value, strategy, r, t*, h_sum, witness), INDETERMINATE until a candidate is evaluated
     verdict = INDETERMINATE
     best = (0, STRATEGY_DIRECT, None, p, 0, ())
     skipped = []
-    for strategy, r_value, t_star in candidates:
+    for strategy, r_value, t_star in _candidates(p, r):
         m = n - t_star
         if m > SUPPORT_CAP:
             skipped.append(f"{strategy}: residual support {m} exceeds cap {SUPPORT_CAP}")
@@ -454,14 +462,16 @@ def scan_range(
 ) -> ScanReport:
     """Run check_case over [start, stop] x kinds, optionally in parallel.
 
-    Each process, the caller or a forked worker, grows the shared
-    primality table, the per-support chain heights and the core-state
-    layers of ``classes._core_layers`` lazily, as its own check_case calls
-    first need them; it walks partitions (``classes._fpf_cores``) only up
-    to the support of the last witness type it annotates. The pool never
-    holds more workers than there are tasks or CPUs this process may run
-    on, and a scan that would get one worker runs serially, without
-    importing the pool. It takes the tasks in chunks of four from the
+    Before any fork, the caller sieves the shared primality table to
+    ``stop`` and builds the core-state layers of ``classes._core_layers``
+    once, to the largest residual support of any candidate ``check_case``
+    builds in the range (``_candidates``, at most SUPPORT_CAP), so every
+    process reads the same layers. Each process grows the per-support
+    chain heights lazily, as its own check_case calls first need them; it
+    walks partitions (``classes._fpf_cores``) only up to the support of
+    the last witness type it annotates. The pool never holds more workers
+    than there are tasks or CPUs this process may run on, and a scan that
+    would get one worker runs serially, without importing the pool. It takes the tasks in chunks of four from the
     highest degree down, so the costliest degrees start first instead of
     arriving together in the last chunk. Certificates are sorted
     by (n, kind); the aggregate does not depend on scheduling. It raises
@@ -474,6 +484,15 @@ def scan_range(
     kinds = tuple(kinds)
     if len(set(kinds)) < len(kinds):
         raise DomainError(f"scan_range() needs distinct kinds, got {', '.join(map(str, kinds))}")
+    table = shared_table(stop)
+    supports = [
+        n - t_star
+        for n in range(start, stop + 1)
+        for _, _, t_star in _candidates(*table.degree_primes(n)[:2])
+        if n - t_star <= SUPPORT_CAP
+    ]
+    if supports:
+        _core_layers(max(supports))
     tasks = [(n, kind) for n in range(start, stop + 1) for kind in kinds]
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))

@@ -14,6 +14,7 @@ from class_spectrum import (
     DomainError,
     EnumerationCapError,
     GroupKind,
+    Spectrum,
     class_size,
     fixed_point_free_partitions,
     group_order,
@@ -27,6 +28,7 @@ from class_spectrum import (
     spectrum,
 )
 from class_spectrum.classes import _core, _core_states, _fpf_cores
+from class_spectrum.errors import InvariantError
 from oracles import (
     admissible,
     centralizer_order_sym,
@@ -63,9 +65,9 @@ def test_group_order_examples():
 
 
 def _centralizer_from_core(lam, n):
-    # the Sym_n centralizer order that _core's packed state implies
-    c, state = _core(lam)
-    return math.factorial(n - c) * (state >> 1)
+    # the Sym_n centralizer order that _core's (support, z, even) implies
+    c, z, _ = _core(lam)
+    return math.factorial(n - c) * z
 
 
 def test_centralizer_order_examples():
@@ -138,18 +140,19 @@ def test_state_dp_matches_partition_walk(kind, n):
 
 @pytest.mark.parametrize("m", range(0, 35))
 def test_core_packs_the_state_of_core_states(m):
-    # both producers of packed states, the walk behind _fpf_cores and the
-    # DP behind spectrum and phi_set, must agree flag for flag; Sym sizes
-    # ignore the flags, so no size comparison would catch a stray one.
-    # 34 is the scan's largest residual support (1361 - 1327)
+    # both producers of cores, the walk behind _fpf_cores and the DP behind
+    # spectrum and phi_set, must agree on each core's parity; Sym sizes
+    # ignore the parity, so no size comparison would catch a core filed in
+    # the wrong dict. m runs one past 33, the scan's largest residual support
+    # (1360 - 1327)
     layer = _core_states(m, True)[m]
-    packed = set()
+    walked = set()
     for lam in fixed_point_free_partitions(m):
-        support, state = _core(lam)
-        assert support == m and state in layer, lam
-        packed.add(state)
-    assert packed == layer.keys()
-    assert {s for _, s in _fpf_cores(m)} == layer.keys()
+        support, z, even = _core(lam)
+        assert support == m and z in layer[not even], lam
+        walked.add((z, even))
+    assert walked == {(z, odd == 0) for odd, zs in enumerate(layer) for z in zs}
+    assert {(z, even) for _, z, even in _fpf_cores(m)} == walked
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -165,7 +168,7 @@ def test_psi_set_from_core_states_matches_psi_members(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_moved_class_sizes_from_core_states_match_fpf_rows(kind):
     for i in range(0, 34):
-        walked = {s for ct, _ in _fpf_cores(i) if admissible(kind, i, ct) for s in class_size(kind, i, ct)}
+        walked = {s for ct, *_ in _fpf_cores(i) if admissible(kind, i, ct) for s in class_size(kind, i, ct)}
         assert set(moved_class_sizes(kind, i).values) == walked, i
 
 
@@ -263,10 +266,10 @@ def test_splitting_criterion_past_the_oracle(n):
 @pytest.mark.parametrize("m", range(0, 35))
 def test_centralizer_factor_is_odd_exactly_when_odd_distinct(m):
     # classes reads the Alt splitting rule off the parity of z, which _core
-    # packs with the parity of the type
+    # gives with the parity of the type
     for lam in fixed_point_free_partitions(m):
         z = centralizer_order_sym(lam, m)
-        assert _core(lam) == (m, 2 * z | is_even(lam)), lam
+        assert _core(lam) == (m, z, is_even(lam)), lam
         assert z % 2 == _odd_distinct(lam.part_list()), lam
 
 
@@ -401,6 +404,21 @@ def test_psi_members_first_types_match_partition_walk(kind, n):
         for size, lam in psi_members(kind, n, t):
             first.setdefault(size, lam)
         assert first == psi_first_types(kind, n, t), (n, t)
+
+
+def test_lagrange_check_names_the_bad_value():
+    # order % v is no test for v < 1 (0 would divide by zero, and 24 % -6 is
+    # 0), so such values must be refused on their own, and a non-divisor must
+    # be found wherever it falls
+    with pytest.raises(InvariantError, match=r"^0 is not a class size of sym_4$"):
+        Spectrum.build((0, 1, 6), SYM, 4)
+    with pytest.raises(InvariantError, match=r"^-6 is not a class size of sym_4$"):
+        Spectrum.build((1, -6, 6), SYM, 4)
+    sizes = spectrum(SYM, 30).values
+    bad = 31 * sizes[-1]  # 31 is a prime past the degree, so it divides no size and not 30!
+    with pytest.raises(InvariantError, match=rf"^{bad} is not a class size of sym_30$"):
+        Spectrum.build(sizes + (bad,), SYM, 30)
+    assert Spectrum.build(sizes, SYM, 30).values == sizes
 
 
 def test_lagrange_check_survives_optimized_mode():

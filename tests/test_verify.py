@@ -357,6 +357,31 @@ def test_scan_walks_partitions_only_to_the_witness_supports():
     assert 1 <= int(walked) <= int(largest)
 
 
+def test_scan_builds_the_core_layers_once():
+    # in a fresh interpreter, so no earlier test has filled the caches: the
+    # residual support rises and falls with the prime gaps across a scan, so
+    # the scan builds the core-state layers once, before its first case, to
+    # the largest support a candidate of the range needs, not to SUPPORT_CAP
+    code = (
+        "from class_spectrum import classes, verify\n"
+        "calls = []\n"
+        "core_states = classes._core_states\n"
+        "classes._core_states = lambda m, flagged: calls.append(m) or core_states(m, flagged)\n"
+        "report = verify.scan_range(23, 200)\n"
+        "print(len(calls), *calls)\n"
+        "print(max(cert.support_m for cert in report.certificates))\n"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls, largest = proc.stdout.splitlines()
+    count, built = map(int, calls.split())
+    assert count == 1
+    assert int(largest) <= built < verify.SUPPORT_CAP
+
+
 def test_scan_single_degree():
     report = scan_range(23, 23)
     assert len(report.certificates) == 2
