@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import class_spectrum
@@ -27,6 +28,7 @@ from class_spectrum import (
     psi_set,
     spectrum,
 )
+from class_spectrum import classes
 from class_spectrum.classes import _core, _core_states, _fpf_cores
 from class_spectrum.errors import InvariantError
 from oracles import (
@@ -419,6 +421,31 @@ def test_lagrange_check_names_the_bad_value():
     with pytest.raises(InvariantError, match=rf"^{bad} is not a class size of sym_30$"):
         Spectrum.build(sizes + (bad,), SYM, 30)
     assert Spectrum.build(sizes, SYM, 30).values == sizes
+
+
+def test_psi_lagrange_check_runs_against_n_factorial_over_t_factorial(monkeypatch):
+    # psi_set checks its sizes against gcd(|V_n|, n!/t!): a value that divides
+    # n! but not n!/t! is no psi size, and must be refused by name
+    real = classes._psi_sizes
+
+    def injected(extra):
+        return lambda kind, n, t: chain(real(kind, n, t), [extra])
+
+    monkeypatch.setattr(classes, "_psi_sizes", injected(math.factorial(10) // math.factorial(5)))
+    assert math.factorial(10) % 30240 == 0 and math.perm(10, 4) % 30240
+    with pytest.raises(InvariantError, match=r"^30240 is not a class size of sym_10$"):
+        psi_set(SYM, 10, 6)
+    # for Alt with t <= 1 the gcd is n!/2, which 2^8 does not divide while 10! does
+    monkeypatch.setattr(classes, "_psi_sizes", injected(2**8))
+    assert math.factorial(10) % 2**8 == 0 and (math.factorial(10) // 2) % 2**8
+    for t in (0, 1):
+        with pytest.raises(InvariantError, match=r"^256 is not a class size of alt_10$"):
+            psi_set(ALT, 10, t)
+    # t outside 0..n is still a DomainError, raised before any order is taken
+    monkeypatch.undo()
+    for t in (-1, 11):
+        with pytest.raises(DomainError, match="psi needs 0 <= t <= n"):
+            psi_set(SYM, 10, t)
 
 
 def test_lagrange_check_survives_optimized_mode():
