@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from math import lcm
 from pathlib import Path
 
 from . import __version__
@@ -181,34 +180,11 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-# `height` runs the chain DP on cofactors of the values' lcm only while that
-# lcm has at most this many times the largest value's bits: near-coprime
-# values would otherwise build a huge lcm and huge cofactors
-LCM_BITS_FACTOR = 2
-
-
-def _small_lcm(values: list[int]) -> int | None:
-    """The lcm of values >= 1 if it stays within LCM_BITS_FACTOR times the largest's bits, else None.
-
-    The running lcm stops at the first step past the bound, so a
-    near-coprime input costs a few small lcms, never the whole product.
-    """
-    if not values or min(values) < 1:
-        return None
-    bound = LCM_BITS_FACTOR * max(values).bit_length()
-    multiple = 1
-    for v in values:
-        multiple = lcm(multiple, v)
-        if multiple.bit_length() > bound:
-            return None
-    return multiple
-
-
 def _cmd_height(args) -> int:
     # one list of the values; the text and its lines are freed before the DP
     values = [int(text) for text in map(str.strip, args.input.read_text().splitlines()) if text]
-    # the same levels, parents and witness as the plain DP, on smaller numbers
-    h, witness = longest_chain(values, _small_lcm(values))
+    # longest_chain picks the cofactor DP when the values' lcm is small enough
+    h, witness = longest_chain(values)
     print(max(h - 1, 0) if args.convention == EDGES else h)
     print("witness:", " ".join(str(v) for v in witness))
     return 0

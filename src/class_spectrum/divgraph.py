@@ -23,20 +23,21 @@ so the first divisor found is still the level's smallest. Blocks are
 short because the gcd of a whole level soon shrinks to a small number
 that divides almost every value.
 
-Given a common multiple N of every value, the DP stores each value's
-cofactor N // v in place of v and tests d | v as (N // v) | (N // d): on
-the divisors of N, x -> N // x reverses divisibility. The block screen
-becomes the lcm of the block's cofactors, which equals N // gcd(block),
-so the same blocks are skipped and scanned. Values are still taken in
-ascending order, so levels, parents and the witness are those of the
-plain DP. Each test is a remainder by a cofactor, which is small when
-the value is a large divisor of N, as the class sizes of a psi family
-are of n!/(n - m)!.
+The values' lcm N, when it has at most twice the largest value's bits,
+lets the DP store each value's cofactor N // v in place of v and test
+d | v as (N // v) | (N // d): on the divisors of N, x -> N // x reverses
+divisibility. The block screen becomes the lcm of the block's cofactors,
+which equals N // gcd(block), so the same blocks are skipped and scanned.
+Values are still taken in ascending order, so levels, parents and the
+witness are those of the plain DP. Each test is a remainder by a
+cofactor, which is small when the value is a large divisor of N, as the
+class sizes of a psi family are of n!/(n - m)!. Past twice the bits the
+cofactors are no smaller than the values, so the plain DP runs instead.
 """
 
 from __future__ import annotations
 
-from itertools import compress, filterfalse
+from itertools import compress, filterfalse, islice
 from math import gcd, lcm
 from operator import not_
 from typing import Iterable, NamedTuple
@@ -69,7 +70,25 @@ class ChainResult(NamedTuple):
     convention: str
 
 
-def longest_chain(values: Iterable[int], multiple: int | None = None) -> tuple[int, tuple[int, ...]]:
+def _common_multiple(vals: list[int]) -> int | None:
+    """The lcm of ascending values >= 1, or None once it has more than twice the largest's bits.
+
+    The lcm of the top BLOCK values is the seed, one remainder pass finds
+    the values that do not divide it, and those are folded in a block at a
+    time, so a near-coprime input stops after a few small lcms.
+    """
+    bound = 2 * vals[-1].bit_length()
+    multiple = lcm(*vals[-BLOCK:])
+    strays = compress(vals, map(multiple.__mod__, vals))
+    while multiple.bit_length() <= bound:
+        block = list(islice(strays, BLOCK))
+        if not block:
+            return multiple
+        multiple = lcm(multiple, *block)
+    return None
+
+
+def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """(vertex count, witness) of a maximal divisibility chain.
 
     Values are taken in ascending order, and each level lists its values
@@ -83,29 +102,25 @@ def longest_chain(values: Iterable[int], multiple: int | None = None) -> tuple[i
     when no level does). Each level is an antichain, since a value never
     shares a level with one of its divisors.
 
-    With ``multiple``, a common multiple N of every value, the levels hold
-    the cofactors N // v, each block keeps their lcm, and d | v is tested
-    as (N // v) | (N // d); the result is the same. A value that does not
-    divide N, or an N below 1, raises DomainError.
+    When the values' lcm N has at most twice the largest value's bits, the
+    levels hold the cofactors N // v, each block keeps their lcm, and d | v
+    is tested as (N // v) | (N // d); the result is the same. A value below
+    1 raises DomainError before any lcm is taken.
 
     Ties are broken deterministically: a value's chain parent is the
     smallest of its divisors whose longest chain is longest, and the
     witness ends at the smallest value on the top level.
     """
     vals = sorted(set(values))
-    if vals and vals[0] < 1:
+    if not vals:
+        return 0, ()
+    if vals[0] < 1:
         raise DomainError("divisibility chains need values >= 1")
+    multiple = _common_multiple(vals)
     if multiple is None:
         keys, combine = vals, gcd
     else:
-        if multiple < 1:
-            raise DomainError(f"a common multiple must be >= 1, got {multiple}")
-        keys, combine = [], lcm
-        for v in vals:
-            cofactor, rest = divmod(multiple, v)
-            if rest:
-                raise DomainError(f"{v} does not divide the common multiple {multiple}")
-            keys.append(cofactor)
+        keys, combine = list(map(multiple.__floordiv__, vals)), lcm
     levels: list[list[list[int]]] = []  # level -> its blocks of ascending values (or their cofactors)
     screens: list[list[int]] = []  # level -> the gcd (or cofactor lcm) of each of its blocks
     parent: dict[int, int] = {}
@@ -139,8 +154,6 @@ def longest_chain(values: Iterable[int], multiple: int | None = None) -> tuple[i
             blocks.append([key])
             block_screens.append(key)
     height = len(levels)
-    if not height:
-        return 0, ()
     chain = [levels[-1][0][0]]
     while chain[-1] in parent:
         chain.append(parent[chain[-1]])

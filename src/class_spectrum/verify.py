@@ -22,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .classes import GroupKind, _core_layers, _psi_sizes, group_order, moved_class_sizes, psi_members
+from .classes import GroupKind, _core_layers, _psi_sizes, moved_class_sizes, psi_members
 from .divgraph import EDGES, VERTICES, longest_chain
 from .errors import DomainError, InvariantError
 from .partitions import CycleType
@@ -236,14 +236,11 @@ def omega_sweep(start: int, stop: int, table: PrimalityTable | None = None) -> O
 def _moved_heights(kind: GroupKind, i: int) -> int:
     """Vertex height of the fixed-point-free class sizes of V_i.
 
-    The DP runs on the centralizer orders |V_i| / s rather than on the
-    sizes s: on divisors of |V_i|, x -> |V_i| / x reverses divisibility, so
-    it maps chains to chains of the same length, and the orders are mostly
-    far smaller numbers than the sizes.
+    The sizes all divide |V_i|, which has a few bits more than the largest
+    of them, so ``longest_chain`` runs on cofactors of their lcm, small
+    numbers like the centralizer orders.
     """
-    order = group_order(kind, i)
-    h, _ = longest_chain(order // s for s in moved_class_sizes(kind, i).values)
-    return h
+    return longest_chain(moved_class_sizes(kind, i).values)[0]
 
 
 class HzTableRow(NamedTuple):
@@ -337,18 +334,18 @@ def check_case(n: int, kind: GroupKind) -> Certificate:
     candidate reads the sizes of the small-support class-size family from
     the cached core states of ``classes._core_layers``, with no cycle types
     and no Lagrange pass, measures its chain height under both
-    conventions, and records the summed per-support bound. The chain DP
-    runs on the cofactors of n!/(n - m)!, m = n - t*: an element of Sym_n
-    moving j <= m points has class size n!/((n - j)! z), and in Alt_n that
-    size or half of it, so every size divides n!/(n - j)! and so
-    n!/(n - m)!. The first candidate evaluated is kept unless a later one has a strictly smaller
-    vertex height, so a tie keeps the direct strategy, which is tried
-    first. Only the kept candidate's witness values get cycle types
-    (``_witness_types``). A candidate whose residual support n - t*
-    exceeds SUPPORT_CAP is skipped unbuilt. When every candidate is
-    skipped, as first at n = 520523, the certificate is INDETERMINATE:
-    direct strategy, t* = p, height 0, an empty witness, and the skip
-    reasons as its reason.
+    conventions, and records the summed per-support bound. An element of
+    Sym_n moving j <= m = n - t* points has class size n!/((n - j)! z), and
+    in Alt_n that size or half of it, so every size divides n!/(n - m)!,
+    which has a few bits more than the largest size: ``longest_chain`` runs
+    on cofactors of the family's lcm. The first candidate evaluated is kept
+    unless a later one has a strictly smaller vertex height, so a tie keeps
+    the direct strategy, which is tried first. Only the kept candidate's
+    witness values get cycle types (``_witness_types``). A candidate whose
+    residual support n - t* exceeds SUPPORT_CAP is skipped unbuilt. When
+    every candidate is skipped, as first at n = 520523, the certificate is
+    INDETERMINATE: direct strategy, t* = p, height 0, an empty witness, and
+    the skip reasons as its reason.
     """
     if n < 23:
         raise DomainError("check_case() covers degrees n >= 23")
@@ -364,7 +361,7 @@ def check_case(n: int, kind: GroupKind) -> Certificate:
         if m > SUPPORT_CAP:
             skipped.append(f"{strategy}: residual support {m} exceeds cap {SUPPORT_CAP}")
             continue
-        h_value, witness = longest_chain(_psi_sizes(kind, n, t_star), math.perm(n, m))
+        h_value, witness = longest_chain(_psi_sizes(kind, n, t_star))
         h_sum = sum(_moved_heights(kind, i) for i in range(1, m + 1))
         if h_value > h_sum:
             raise ChainBoundViolation(

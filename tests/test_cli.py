@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import os
 import re
 import subprocess
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from class_spectrum import GroupKind, longest_chain, phi_set, psi_set
+from class_spectrum import GroupKind, phi_set
 from class_spectrum import cli
 from class_spectrum.cache import SpectrumCache
 from class_spectrum.cli import dump_json, main
@@ -255,42 +254,6 @@ def test_height_matches_quadratic_dp(capsys, tmp_path, values):
     h, witness = quadratic_longest_chain(values)
     expected = f"{h}\nwitness: {' '.join(map(str, witness))}\n"
     assert run_cli(capsys, "height", "--input", str(path)) == (0, expected, "")
-
-
-def test_height_passes_the_lcm_only_below_the_bound(capsys, tmp_path, monkeypatch):
-    passed = []
-
-    def recording(values, multiple=None):
-        passed.append(multiple)
-        return longest_chain(values, multiple)
-
-    monkeypatch.setattr(cli, "longest_chain", recording)
-    path = tmp_path / "values.txt"
-    primes = [p for p in range(2, 282) if all(p % d for d in range(2, p))]
-    assert len(primes) == 60
-    psi = psi_set(GroupKind.SYM, 1360, 1327).values
-    cases = [
-        (primes, None),  # pairwise coprime: the running lcm passes 2 * 9 bits
-        ([2, 4, 8, 16], 16),
-        ([11, 13], 143),  # 8 bits: exactly at 2 * 4 bits
-        ([7, 11, 13], None),  # 1001 has 10 bits
-        ([1], 1),
-        (psi, math.lcm(*psi)),  # the 7,373 sizes of the largest scan family
-    ]
-    for values, multiple in cases:
-        path.write_text("".join(f"{v}\n" for v in values))
-        passed.clear()
-        code, out, _ = run_cli(capsys, "height", "--input", str(path))
-        h, witness = longest_chain(values)
-        assert (code, out) == (0, f"{h}\nwitness: {' '.join(map(str, witness))}\n")
-        assert passed == [multiple], values[:3]
-    assert math.lcm(*psi).bit_length() == 343
-    # a value below 1 goes to the plain DP, which refuses it
-    for values in ([4, 0], [4, -8, 8]):
-        path.write_text("".join(f"{v}\n" for v in values))
-        passed.clear()
-        assert run_cli(capsys, "height", "--input", str(path))[0] == 2
-        assert passed == [None], values
 
 
 def test_height_rejects_nonpositive(capsys, tmp_path):

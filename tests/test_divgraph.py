@@ -1,11 +1,12 @@
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from class_spectrum import EDGES, VERTICES, DomainError, GroupKind, divgraph, longest_chain
-from class_spectrum.classes import moved_class_sizes, psi_members
+from class_spectrum.classes import moved_class_sizes, psi_members, psi_set
 from oracles import brute_chain_height, quadratic_longest_chain
 
 values_small = st.frozensets(st.integers(min_value=1, max_value=10**6), max_size=12)
@@ -81,11 +82,16 @@ class WatchedMultiple(int):
         self.watched = watched
         return self
 
-    def __divmod__(self, other):
-        cofactor, rest = int.__divmod__(self, other)
+    def __floordiv__(self, other):
+        cofactor = int.__floordiv__(self, other)
         if other == self.watched:
             cofactor = self.cofactor = CountedCofactor(cofactor)
-        return cofactor, rest
+        return cofactor
+
+
+def cofactor_mode(values):
+    # whether longest_chain runs on cofactors of the values' lcm
+    return divgraph._common_multiple(sorted(set(values))) is not None
 
 
 def test_examples():
@@ -101,22 +107,37 @@ def test_duplicates_are_ignored():
 
 
 def test_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        longest_chain([0, 2])
-    with pytest.raises(DomainError):
-        longest_chain([-3])
+    # lcm(0, 4) == 0 would pass the cofactor bound, so values are checked first
+    for values in ([0, 2], [-3], [4, 0], [4, -8, 8]):
+        with pytest.raises(DomainError, match="values >= 1"):
+            longest_chain(values)
 
 
-def test_cofactor_mode_validates_its_multiple():
-    assert longest_chain([2, 4, 3, 8], 24) == (3, (2, 4, 8))
-    with pytest.raises(DomainError, match="^5 does not divide"):
-        longest_chain([2, 4, 5], 24)
-    for multiple in (0, -24):
-        with pytest.raises(DomainError, match="common multiple must be >= 1"):
-            longest_chain([2, 4], multiple)
-    with pytest.raises(DomainError, match="values >= 1"):
-        longest_chain([0, 2], 24)
-    assert longest_chain([], 1) == (0, ())
+PRIMES_60 = [p for p in range(2, 282) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize(
+    "values, multiple",
+    [
+        (PRIMES_60, None),  # pairwise coprime: the lcm passes 2 * 9 bits
+        ([2, 4, 8, 16], 16),
+        ([11, 13], 143),  # 8 bits: exactly at 2 * 4 bits
+        ([7, 11, 13], None),  # 1001 has 10 bits
+        ([1], 1),
+    ],
+    ids=["primes", "powers", "at-bound", "past-bound", "one"],
+)
+def test_cofactor_mode_only_within_twice_the_largest_bits(values, multiple):
+    assert divgraph._common_multiple(sorted(set(values))) == multiple
+    assert longest_chain(values) == quadratic_longest_chain(values)
+
+
+def test_largest_scan_family_takes_the_cofactor_mode():
+    # the 7,373 sizes of psi(1360, 1327), of 338 bits; their lcm has 343
+    values = psi_set(GroupKind.SYM, 1360, 1327).values
+    assert len(values) == 7373 and values[-1].bit_length() == 338
+    multiple = divgraph._common_multiple(list(values))
+    assert multiple == math.lcm(*values) and multiple.bit_length() == 343
 
 
 def test_kept_height_applies_the_convention_to_longest_chain():
@@ -202,17 +223,31 @@ def test_matches_quadratic_dp_on_deep_levels(values):
 def test_matches_quadratic_dp_on_psi_families(kind, n, t):
     values = [size for size, _ in psi_members(kind, n, t)]
     assert longest_chain(values) == quadratic_longest_chain(values)
-    # every size of the family divides n!/(n - m)!, m = n - t
-    assert longest_chain(values, math.perm(n, n - t)) == quadratic_longest_chain(values)
+    # every size of the family divides n!/(n - m)!, m = n - t, so the DP ran on cofactors
+    assert math.perm(n, n - t) % divgraph._common_multiple(sorted(set(values))) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(values_tied, values_wide)
+def test_oracle_families_take_both_modes(tied, wide):
+    # a smooth lcm divides 2^5 3^3 5^2 7^2, which has 21 bits, so tied values
+    # whose largest has 11 bits or more take the cofactor DP; each wide
+    # family's lcm takes in dozens of primes above 7 and takes the plain DP
+    if tied and max(tied).bit_length() > 10:
+        assert cofactor_mode(tied)
+    assert not cofactor_mode(wide)
 
 
 @pytest.mark.parametrize("family", [values_tied, values_deep, values_wide], ids=["tied", "deep", "wide"])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_cofactor_mode_matches_plain_dp(family, data):
+    # each mode forced on every family, deep and wide ones included
     values = data.draw(family)
-    multiple = math.lcm(*values) * data.draw(st.integers(min_value=1, max_value=10**6))
-    assert longest_chain(values, multiple) == longest_chain(values)
+    with patch.object(divgraph, "_common_multiple", lambda vals: math.lcm(*vals)):
+        cofactor = longest_chain(values)
+    with patch.object(divgraph, "_common_multiple", lambda vals: None):
+        assert cofactor == longest_chain(values)
 
 
 def test_bisection_scans_logarithmically_many_levels():
@@ -220,6 +255,7 @@ def test_bisection_scans_logarithmically_many_levels():
     # odd values in one octave: none is divisible by a chain element but 1 or
     # by another of them, so each joins level 1 after probing levels 1 and 0
     odd = [CountedInt(2**60 + 2 * i + 1) for i in range(200)]
+    assert not cofactor_mode(chain + odd)
     assert longest_chain(chain + odd) == (60, tuple(chain))
     above_level_1 = set(chain[2:])
     for i, v in enumerate(odd):
@@ -230,9 +266,11 @@ def test_bisection_scans_logarithmically_many_levels():
 
 
 def test_block_whose_gcd_divides_v_is_scanned():
-    # 6, 10 and 14 share one block of gcd 2, which divides 22 although none of them does
+    # 6, 10 and 14 share one block of gcd 2, which divides 22 although none
+    # of them does; three Mersenne primes, taken after v, force the plain DP
     v = CountedInt(22)
-    values = [6, 10, 14, v, 66]
+    values = [6, 10, 14, v, 66, 2**61 - 1, 2**89 - 1, 2**107 - 1]
+    assert not cofactor_mode(values)
     assert longest_chain(values) == (2, (6, 66))
     assert v.divisors == [2, 6, 10, 14]
     assert longest_chain(values) == quadratic_longest_chain(values)
@@ -245,6 +283,7 @@ def test_smallest_divisor_in_a_later_block():
     threes = list(range(1053, 1077, 3))
     v = CountedInt(2**5 * 3**2 * 11 * 59)
     values = sevens + threes + [v]
+    assert not cofactor_mode(values)
     assert longest_chain(values) == (2, (1056, v))
     # the first block is skipped on its gcd and the second scanned up to 1056
     assert v.divisors == [7, 3, 1053, 1056]
@@ -264,21 +303,25 @@ def test_screen_skips_a_level_coprime_to_v():
     level = [101 * m for m in range(64, 128)]
     v = CountedInt(2**40 + 1)
     values = level + [v]
+    assert not cofactor_mode(values)
     assert longest_chain(values) == (1, (level[0],))
     assert len(v.divisors) <= 8
     assert not set(v.divisors) & set(level)
     assert longest_chain(values) == quadratic_longest_chain(values)
 
 
-def test_cofactor_screen_skips_a_block_whose_lcm_the_cofactor_does_not_divide():
-    # the values of test_smallest_divisor_in_a_later_block in cofactor mode:
-    # the first block's cofactor lcm is N // 7, which v's cofactor N // v does
-    # not divide, as 7 does not divide v, so the block is skipped unscanned;
-    # the second block's is N // 3, so it is scanned up to 1056's cofactor
+def test_cofactor_screen_skips_a_block_whose_lcm_the_cofactor_does_not_divide(monkeypatch):
+    # the values of test_smallest_divisor_in_a_later_block, forced into
+    # cofactor mode: the first block's cofactor lcm is N // 7, which v's
+    # cofactor N // v does not divide, as 7 does not divide v, so the block is
+    # skipped unscanned; the second block's is N // 3, so it is scanned up to
+    # 1056's cofactor
     sevens = list(range(1001, 1051, 7))
     threes = list(range(1053, 1077, 3))
     v = 2**5 * 3**2 * 11 * 59
     values = sevens + threes + [v]
+    plain = longest_chain(values)
     multiple = WatchedMultiple(math.lcm(*values), v)
-    assert longest_chain(values, multiple) == (2, (1056, v)) == longest_chain(values)
+    monkeypatch.setattr(divgraph, "_common_multiple", lambda vals: multiple)
+    assert longest_chain(values) == (2, (1056, v)) == plain
     assert multiple.cofactor.dividends == [multiple // d for d in (7, 3, 1053, 1056)]

@@ -153,23 +153,20 @@ def test_degree_facts_come_from_the_table_query():
     assert calls == []
 
 
-def test_check_case_runs_the_chain_dp_on_cofactors():
-    # every psi size of residual support m divides n!/(n - m)!, and the DP's
-    # remainders by cofactors of it are what keeps scan fast, so each
-    # longest_chain call in check_case passes math.perm(...) as the multiple
-    check_case = next(
-        node for node in TREES["verify.py"].body if isinstance(node, ast.FunctionDef) and node.name == "check_case"
-    )
+def test_longest_chain_callers_pass_only_values():
+    # longest_chain finds its own common multiple, so no caller passes one
+    # or divides one out by hand
     calls = [
-        node
-        for node in ast.walk(check_case)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "longest_chain"
+        (name, node)
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "longest_chain"
     ]
-    assert calls
-    for call in calls:
-        keywords = {k.arg: k.value for k in call.keywords}
-        multiple = call.args[1] if len(call.args) > 1 else keywords.get("multiple")
-        assert multiple is not None and ast.unparse(multiple) == "math.perm(n, m)", ast.unparse(call)
+    assert {name for name, _ in calls} >= {"cli.py", "verify.py"}
+    for name, call in calls:
+        assert len(call.args) == 1 and not call.keywords, f"{name}:{call.lineno} {ast.unparse(call)}"
+    for name in ("cli.py", "verify.py"):
+        assert not {"lcm", "perm", "group_order"} & set(_loaded_names(TREES[name])), name
 
 
 def _readers(tree, names):

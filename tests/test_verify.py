@@ -264,18 +264,24 @@ def test_check_case_reruns_identical_except_elapsed():
 def test_check_case_cofactor_dp_matches_the_plain_dp(monkeypatch, kind, n):
     # at 1345 there is no r, so the kept direct witness (28 values for Sym,
     # 17 for Alt) comes from the cofactor DP; at 1360 both candidates run
-    cofactor = check_case(n, kind)
+    cofactor = check_case(n, kind)  # also fills _moved_heights up to each support
+    common_multiple = divgraph._common_multiple
     multiples = []
 
-    def plain(values, multiple=None):
-        multiples.append(multiple)
-        return longest_chain(values)
+    def recording(vals):
+        multiples.append(common_multiple(vals))
+        return multiples[-1]
 
-    monkeypatch.setattr(verify, "longest_chain", plain)
+    monkeypatch.setattr(divgraph, "_common_multiple", recording)
     assert check_case(n, kind)._replace(elapsed=0) == cofactor._replace(elapsed=0)
+    # each family's lcm divides n!/(n - m)!, so every one takes the cofactor DP
     p, r, _ = shared_table(n).degree_primes(n)
     supports = [n - p] + ([] if r is None else [n - 2 * r])
-    assert multiples == [math.perm(n, m) for m in supports]
+    assert len(multiples) == len(supports)
+    for multiple, m in zip(multiples, supports):
+        assert multiple is not None and math.perm(n, m) % multiple == 0, m
+    monkeypatch.setattr(divgraph, "_common_multiple", lambda vals: None)
+    assert check_case(n, kind)._replace(elapsed=0) == cofactor._replace(elapsed=0)
     if n == 1345:
         assert (cofactor.strategy, len(cofactor.witness_chain)) == (verify.STRATEGY_DIRECT, {SYM: 28, ALT: 17}[kind])
 
