@@ -133,24 +133,23 @@ def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
 _Layer = tuple[dict[int, None], dict[int, None]]
 
 
-def _core_states(m: int, flagged: bool) -> list[_Layer]:
+def _core_states(m: int) -> list[_Layer]:
     """Per support c <= m, the centralizer factor z of every distinct core of support c.
 
     Layer c is a pair of keys-only dicts, the z of the even cores and the
     z of the odd ones, as in ``_core``; as sets the layers raised the peak
-    RSS of ``spectrum`` at n = 45 by about 1 MB. Without ``flagged`` (Sym,
-    whose sizes ignore the parity) every z goes to the first dict, so cores
-    merge by z alone. The DP takes cycle lengths k = 2..m in ascending
-    order and extends each dict of support c by j = 1, 2, ... k-cycles at
-    once: that multiplies every z by k^j * j! in one C-level map, and for
-    even k and odd j moves it to the other parity's dict. Supports are
-    taken from the top down, so a core made for this k is not extended by
-    k again, and equal cores merge before any size is divided out.
+    RSS of ``spectrum`` at n = 45 by about 1 MB. The DP takes cycle
+    lengths k = 2..m in ascending order and extends each dict of support c
+    by j = 1, 2, ... k-cycles at once: that multiplies every z by
+    k^j * j! in one C-level map, and for even k and odd j moves it to the
+    other parity's dict. Supports are taken from the top down, so a core
+    made for this k is not extended by k again, and equal cores merge
+    before any size is divided out.
     """
     layers: list[_Layer] = [({}, {}) for _ in range(m + 1)]
     layers[0][0][1] = None  # the empty type: z = 1, even
     for k in range(2, m + 1):
-        flip = flagged and k % 2 == 0
+        flip = k % 2 == 0
         for c in range(m - k, -1, -1):
             for odd, zs in enumerate(layers[c]):
                 if not zs:
@@ -162,22 +161,22 @@ def _core_states(m: int, flagged: bool) -> list[_Layer]:
     return layers
 
 
-# the flagged _core_states layers read by the psi, phi and moved families
+# the _core_states layers read by the psi, phi and moved families
 _cores: list[_Layer] = []
 
 
 def _core_layers(m: int) -> list[_Layer]:
-    """The flagged ``_core_states`` layers, one (even, odd) pair per support c, covering every c <= m.
+    """The ``_core_states`` layers, one (even, odd) pair per support c, covering every c <= m.
 
     Built once per process and reused: layer c holds every core of support
     c however far the DP ran, so the list is rebuilt only when a caller
-    asks for a support past its last layer. Flagged layers serve both
-    kinds, since Sym reads both dicts of a layer. A forked worker inherits
+    asks for a support past its last layer. The layers serve both kinds,
+    since Sym reads both dicts of a layer. A forked worker inherits
     whatever layers its parent had built.
     """
     global _cores
     if len(_cores) <= m:
-        _cores = _core_states(m, True)
+        _cores = _core_states(m)
     return _cores
 
 
@@ -212,10 +211,11 @@ def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) ->
 
     Every type of degree n is a fixed-point-free core of support c <= n
     padded by fixed points, so the sizes are read from ``_core_states(n)``,
-    which merges types of equal core. It builds its own layers rather than
-    filling the ``_core_layers`` cache, which would then hold them for the
-    rest of the process. Degrees above ``cap`` are refused unless the
-    caller raises the cap or disables it with cap=None.
+    which merges types of equal core; Sym reads both parities' dicts, and
+    ``Spectrum.build`` drops the sizes they share. It builds its own layers
+    rather than filling the ``_core_layers`` cache, which would then hold
+    them for the rest of the process. Degrees above ``cap`` are refused
+    unless the caller raises the cap or disables it with cap=None.
     """
     if n < 1:
         raise DomainError("spectrum() needs n >= 1")
@@ -224,8 +224,7 @@ def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) ->
             f"full spectrum at n={n} exceeds the degree cap {cap}; "
             f"pass a cap of at least {n} (--cap {n}, or cap=None in the library) to compute it"
         )
-    layers = _core_states(n, kind is GroupKind.ALT)
-    return Spectrum.build(_layer_sizes(kind, n, 0, 1, layers), kind, n)
+    return Spectrum.build(_layer_sizes(kind, n, 0, 1, _core_states(n)), kind, n)
 
 
 @lru_cache(maxsize=None)
@@ -295,11 +294,14 @@ def psi_members(kind: GroupKind, n: int, t: int) -> Iterator[tuple[int, CycleTyp
     """
     if t < 0 or t > n:
         raise DomainError(f"psi needs 0 <= t <= n, got n={n}, t={t}")
-    for m in range(2, n - t + 1):
-        placed = math.perm(n, m)
-        for ct, z, even in _fpf_cores(m):
-            for s in _sizes(kind, n, placed, m, z, even):
-                yield s, ct
+    # an iterator, not a generator function, so a bad t raises at the call
+    return (
+        (s, ct)
+        for m in range(2, n - t + 1)
+        for placed in [math.perm(n, m)]
+        for ct, z, even in _fpf_cores(m)
+        for s in _sizes(kind, n, placed, m, z, even)
+    )
 
 
 def _psi_sizes(kind: GroupKind, n: int, t: int) -> Iterator[int]:

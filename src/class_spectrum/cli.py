@@ -252,7 +252,7 @@ def _cmd_verify_case(args) -> int:
             if key == "witness_chain":
                 value = " ".join(d[key]) or "-"
             print(f"{key}: {value}")
-        print(f"witness_cycle_types: {' '.join('+'.join(map(str, t)) or 'e' for t in d['witness_cycle_types']) or '-'}")
+        print(f"witness_cycle_types: {' '.join(map(str, cert.witness_cycle_types)) or '-'}")
     return 0 if cert.verdict == PASS else 1
 
 

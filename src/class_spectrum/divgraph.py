@@ -23,7 +23,8 @@ so the first divisor found is still the level's smallest. Blocks are
 short because the gcd of a whole level soon shrinks to a small number
 that divides almost every value.
 
-The values' lcm N, when it has at most twice the largest value's bits,
+The lcm N of the largest BLOCK values, when it has at most twice the
+largest value's bits and every value divides it, is the values' lcm and
 lets the DP store each value's cofactor N // v in place of v and test
 d | v as (N // v) | (N // d): on the divisors of N, x -> N // x reverses
 divisibility. The block screen becomes the lcm of the block's cofactors,
@@ -31,13 +32,15 @@ which equals N // gcd(block), so the same blocks are skipped and scanned.
 Values are still taken in ascending order, so levels, parents and the
 witness are those of the plain DP. Each test is a remainder by a
 cofactor, which is small when the value is a large divisor of N, as the
-class sizes of a psi family are of n!/(n - m)!. Past twice the bits the
-cofactors are no smaller than the values, so the plain DP runs instead.
+class sizes of a psi family are of n!/(n - m)!, whose largest values
+already have the family's lcm. Past twice the bits the cofactors are no
+smaller than the values, so the plain DP runs instead, as it does when a
+smaller value does not divide N.
 """
 
 from __future__ import annotations
 
-from itertools import compress, filterfalse, islice
+from itertools import compress, filterfalse
 from math import gcd, lcm
 from operator import not_
 from typing import Iterable, NamedTuple
@@ -71,21 +74,16 @@ class ChainResult(NamedTuple):
 
 
 def _common_multiple(vals: list[int]) -> int | None:
-    """The lcm of ascending values >= 1, or None once it has more than twice the largest's bits.
+    """The lcm N of the top BLOCK of ascending values >= 1 when it serves the cofactor DP, else None.
 
-    The lcm of the top BLOCK values is the seed, one remainder pass finds
-    the values that do not divide it, and those are folded in a block at a
-    time, so a near-coprime input stops after a few small lcms.
+    N serves when it has at most twice the largest value's bits and every
+    value divides it, which makes it the lcm of all the values. The bit
+    test runs first, so a near-coprime input takes no remainders.
     """
-    bound = 2 * vals[-1].bit_length()
     multiple = lcm(*vals[-BLOCK:])
-    strays = compress(vals, map(multiple.__mod__, vals))
-    while multiple.bit_length() <= bound:
-        block = list(islice(strays, BLOCK))
-        if not block:
-            return multiple
-        multiple = lcm(multiple, *block)
-    return None
+    if multiple.bit_length() > 2 * vals[-1].bit_length() or any(map(multiple.__mod__, vals)):
+        return None
+    return multiple
 
 
 def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
@@ -102,10 +100,11 @@ def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     when no level does). Each level is an antichain, since a value never
     shares a level with one of its divisors.
 
-    When the values' lcm N has at most twice the largest value's bits, the
-    levels hold the cofactors N // v, each block keeps their lcm, and d | v
-    is tested as (N // v) | (N // d); the result is the same. A value below
-    1 raises DomainError before any lcm is taken.
+    When the lcm N of the largest BLOCK values has at most twice the
+    largest value's bits and every value divides it, the levels hold the
+    cofactors N // v, each block keeps their lcm, and d | v is tested as
+    (N // v) | (N // d); the result is the same. A value below 1 raises
+    DomainError before any lcm is taken.
 
     Ties are broken deterministically: a value's chain parent is the
     smallest of its divisors whose longest chain is longest, and the

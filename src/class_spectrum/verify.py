@@ -260,9 +260,7 @@ def hz_table(max_m: int, kinds: Sequence[GroupKind] = (GroupKind.SYM, GroupKind.
     """
     if max_m < 2:
         raise DomainError("hz_table() needs max_m >= 2")
-    for kind in kinds:
-        # the largest support first, so the classes' core-state layers are built once
-        _moved_heights(kind, max_m)
+    _core_layers(max_m)  # the core-state layers, built once to the largest support any row reads
     rows = []
     for m in range(2, max_m + 1):
         computed: dict[tuple[GroupKind, str], int] = {}
@@ -468,11 +466,12 @@ def scan_range(
     walks partitions (``classes._fpf_cores``) only up to the support of
     the last witness type it annotates. The pool never holds more workers
     than there are tasks or CPUs this process may run on, and a scan that
-    would get one worker runs serially, without importing the pool. It takes the tasks in chunks of four from the
-    highest degree down, so the costliest degrees start first instead of
-    arriving together in the last chunk. Certificates are sorted
-    by (n, kind); the aggregate does not depend on scheduling. It raises
-    DomainError for jobs below 1 or a repeated kind.
+    would get one worker runs serially, without importing the pool. It
+    takes the tasks in chunks of four from the highest degree down, so the
+    costliest degrees start first instead of arriving together in the last
+    chunk. Certificates are sorted by (n, kind); the aggregate does not
+    depend on scheduling. It raises DomainError for jobs below 1 or a
+    repeated kind.
     """
     if not 23 <= start <= stop:
         raise DomainError("scan_range() needs 23 <= start <= stop")

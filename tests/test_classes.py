@@ -147,7 +147,7 @@ def test_core_packs_the_state_of_core_states(m):
     # ignore the parity, so no size comparison would catch a core filed in
     # the wrong dict. m runs one past 33, the scan's largest residual support
     # (1360 - 1327)
-    layer = _core_states(m, True)[m]
+    layer = _core_states(m)[m]
     walked = set()
     for lam in fixed_point_free_partitions(m):
         support, z, even = _core(lam)
@@ -324,6 +324,15 @@ def test_psi_members_avoid_interval_primes(kind):
         for t in data.omega:
             for v in psi_set(kind, n, t).values:
                 assert v % t != 0
+
+
+def test_psi_members_checks_t_at_the_call():
+    # like _psi_sizes, partitions and fixed_point_free_partitions, the bad t
+    # raises before anything is iterated
+    for kind in KINDS:
+        for n, t in [(5, 9), (5, -1)]:
+            with pytest.raises(DomainError, match="psi needs 0 <= t <= n"):
+                psi_members(kind, n, t)
 
 
 def test_psi_members_annotations_rederive_values():

@@ -307,6 +307,35 @@ def test_verify_case(capsys):
     assert all(isinstance(v, str) for v in cert["witness_chain"])
 
 
+def test_verify_case_text_lines(capsys):
+    # one "key: value" line per CSV field, then the witness cycle types as
+    # CycleType prints them; an empty witness prints "-" on both lines
+    code, out, _ = run_cli(capsys, "verify", "case", "--n", "1360", "--kind", "alt")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2].startswith("elapsed: ")
+    assert lines[:-2] + lines[-1:] == [
+        "n: 1360",
+        "kind: alt",
+        "strategy: r-trick",
+        "r: 677",
+        "t_star: 1354",
+        "support_m: 6",
+        "omega_count: 94",
+        "h_value: 2",
+        "h_value_edges: 1",
+        "h_sum_bound: 4",
+        "verdict: PASS",
+        "witness_chain: 836636640 347667794328590400",
+        "reason: None",
+        "witness_cycle_types: 3 3+3",
+    ]
+    code, out, _ = run_cli(capsys, "verify", "case", "--n", "520523", "--kind", "sym")
+    assert code == 1
+    assert "witness_chain: -" in out.splitlines()
+    assert out.splitlines()[-1] == "witness_cycle_types: -"
+
+
 def test_verify_scan_outputs(capsys, tmp_path):
     out_dir = tmp_path / "scan"
     code, out, _ = run_cli(

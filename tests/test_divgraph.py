@@ -124,8 +124,10 @@ PRIMES_60 = [p for p in range(2, 282) if all(p % d for d in range(2, p))]
         ([11, 13], 143),  # 8 bits: exactly at 2 * 4 bits
         ([7, 11, 13], None),  # 1001 has 10 bits
         ([1], 1),
+        # 7 * 2^18 lies within the bound, but 7 does not divide the seed 2^18
+        ([7] + [2**j for j in range(11, 19)], None),
     ],
-    ids=["primes", "powers", "at-bound", "past-bound", "one"],
+    ids=["primes", "powers", "at-bound", "past-bound", "one", "stray-below-seed"],
 )
 def test_cofactor_mode_only_within_twice_the_largest_bits(values, multiple):
     assert divgraph._common_multiple(sorted(set(values))) == multiple
@@ -231,10 +233,14 @@ def test_matches_quadratic_dp_on_psi_families(kind, n, t):
 @given(values_tied, values_wide)
 def test_oracle_families_take_both_modes(tied, wide):
     # a smooth lcm divides 2^5 3^3 5^2 7^2, which has 21 bits, so tied values
-    # whose largest has 11 bits or more take the cofactor DP; each wide
-    # family's lcm takes in dozens of primes above 7 and takes the plain DP
+    # whose largest has 11 bits or more pass the bit test and take the
+    # cofactor DP exactly when every value divides the lcm of the largest
+    # BLOCK; each wide family's lcm takes in dozens of primes above 7 and
+    # takes the plain DP
     if tied and max(tied).bit_length() > 10:
-        assert cofactor_mode(tied)
+        vals = sorted(set(tied))
+        seed = math.lcm(*vals[-divgraph.BLOCK :])
+        assert cofactor_mode(tied) == all(seed % v == 0 for v in vals)
     assert not cofactor_mode(wide)
 
 

@@ -339,14 +339,15 @@ def test_check_case_matches_full_members_annotation(kind, n):
 
 def test_scan_walks_partitions_only_to_the_witness_supports():
     # in a fresh interpreter, so no earlier test has filled the caches: hz_table
-    # asks for its largest support first and builds the core-state layers
-    # once, and a scan walks fixed-point-free partitions (classes._fpf_cores)
-    # no further than the largest support of a witness type it records
+    # builds the core-state layers once, to its largest support, before any
+    # row reads them, and a scan walks fixed-point-free partitions
+    # (classes._fpf_cores) no further than the largest support of a witness
+    # type it records
     code = (
         "from class_spectrum import classes, verify\n"
         "calls = []\n"
         "core_states = classes._core_states\n"
-        "classes._core_states = lambda m, flagged: calls.append(m) or core_states(m, flagged)\n"
+        "classes._core_states = lambda m: calls.append(m) or core_states(m)\n"
         "verify.hz_table(33)\n"
         "print(calls)\n"
         "report = verify.scan_range(1340, 1361)\n"
@@ -372,7 +373,7 @@ def test_scan_builds_the_core_layers_once():
         "from class_spectrum import classes, verify\n"
         "calls = []\n"
         "core_states = classes._core_states\n"
-        "classes._core_states = lambda m, flagged: calls.append(m) or core_states(m, flagged)\n"
+        "classes._core_states = lambda m: calls.append(m) or core_states(m)\n"
         "report = verify.scan_range(23, 200)\n"
         "print(len(calls), *calls)\n"
         "print(max(cert.support_m for cert in report.certificates))\n"
