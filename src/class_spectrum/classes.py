@@ -13,7 +13,7 @@ import math
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, EnumerationCapError, InvariantError
 from .partitions import CycleType, fixed_point_free_partitions, is_even
@@ -94,39 +94,54 @@ def _core(ct: CycleType) -> tuple[int, int, bool]:
     return c, z, is_even(ct)
 
 
-def _sizes(kind: GroupKind, n: int, placed: int, c: int, z: int, even: bool) -> tuple[int, ...]:
-    """Class sizes in V_n of the core (support c, z, even) padded by n - c fixed points.
+def _one_core(z: int, even: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The layer holding the single core (z, even), z filed under its parity.
 
-    ``placed`` is n!/(n-c)!, the ordered placements of the c moved points.
-    The Sym_n class has n!/((n-c)! * z) elements. In Alt_n (n >= 2) an odd
-    type has no class, giving (). The Sym_n class splits into two equal
-    Alt_n classes exactly when the padded type has all parts odd and
-    pairwise distinct, i.e. z is odd and there is at most one fixed point;
-    then both halves are returned. ``_layer_sizes`` applies the same rule
-    to whole layers.
+    Tuples rather than the dicts of ``_core_states``: ``_sizes`` only
+    iterates a layer, and each cached ``_fpf_cores`` row holds one.
     """
-    alt = kind is GroupKind.ALT and n >= 2
-    if alt and not even:
-        return ()
-    s = placed // z
-    if alt and z & 1 and n - c <= 1:
-        return (s // 2, s // 2)
-    return (s,)
+    return ((z,), ()) if even else ((), (z,))
+
+
+def _sizes(
+    kind: GroupKind, n: int, c: int, placed: int, evens: Collection[int], odds: Collection[int]
+) -> Iterable[int]:
+    """Class sizes in V_n of one core layer, the cores of support c padded by n - c fixed points.
+
+    This is the one home of the class-size and Alt-splitting rule.
+    ``evens`` and ``odds`` hold the z of the layer's even and odd cores,
+    and ``placed`` is n!/(n-c)!, the ordered placements of the c moved
+    points. The Sym_n class of a core has n!/((n-c)! * z) elements, read
+    as placed // z in one lazy C-level map. Sym_n, and the trivial Alt_0
+    and Alt_1, read both parities; Alt_n (n >= 2) reads only the evens,
+    since an odd type has no class there. The Sym_n class splits into two
+    equal Alt_n classes exactly when the padded type has all parts odd and
+    pairwise distinct, i.e. z is odd and there is at most one fixed point;
+    then its half size is given twice, once per Alt class. So the result
+    holds one size per class of V_n.
+    """
+    if kind is GroupKind.SYM or n < 2:
+        return map(placed.__floordiv__, chain(evens, odds))
+    if n - c > 1:
+        return map(placed.__floordiv__, evens)
+    halves = [placed // 2 // z for z in evens if z & 1]
+    return chain(halves, halves, (placed // z for z in evens if not z & 1))
 
 
 def class_size(kind: GroupKind, n: int, ct: CycleType) -> list[int]:
     """Class size(s) in V_n of elements with cycle type ct padded by fixed points.
 
-    One entry, or two equal entries for a Sym class that splits in Alt_n
-    (the rule is in ``_sizes``). An odd type in Alt_n raises DomainError.
+    The ``_sizes`` of the type's one-core layer: one entry, or two equal
+    entries for a Sym class that splits in Alt_n. An odd type in Alt_n
+    raises DomainError.
     """
     if ct.support > n:
         raise DomainError(f"cycle type covers {ct.support} points, exceeding degree {n}")
     c, z, even = _core(ct)
-    sizes = _sizes(kind, n, math.perm(n, c), c, z, even)
+    sizes = list(_sizes(kind, n, c, math.perm(n, c), *_one_core(z, even)))
     if not sizes:
         raise DomainError(f"cycle type {ct} is odd, not in Alt_{n}")
-    return list(sizes)
+    return sizes
 
 
 # one support's cores: the z of its even types and the z of its odd types, as dict keys
@@ -170,9 +185,9 @@ def _core_layers(m: int) -> list[_Layer]:
 
     Built once per process and reused: layer c holds every core of support
     c however far the DP ran, so the list is rebuilt only when a caller
-    asks for a support past its last layer. The layers serve both kinds,
-    since Sym reads both dicts of a layer. A forked worker inherits
-    whatever layers its parent had built.
+    asks for a support past its last layer. The layers serve both kinds:
+    ``_sizes`` reads both dicts of a layer for Sym and the even one for
+    Alt. A forked worker inherits whatever layers its parent had built.
     """
     global _cores
     if len(_cores) <= m:
@@ -183,27 +198,17 @@ def _core_layers(m: int) -> list[_Layer]:
 def _layer_sizes(kind: GroupKind, n: int, c: int, placed: int, layers: Iterable[_Layer]) -> Iterator[int]:
     """Sizes in V_n of consecutive core layers of supports c, c + 1, ..., in no set order.
 
+    Each layer's sizes are the ``_sizes`` of that layer, chained in C.
     ``placed`` is n!/(n-c)! for the first layer and is carried to the next
-    by one multiplication. Each layer's sizes are placed // z over its
-    dicts, one lazy C-level map per dict, and the maps are chained in C, so
-    no Python step runs per size: Sym reads both dicts and Alt_n (n >= 2)
-    only the even one. The split of ``_sizes`` runs per core only on the
-    layers with at most one fixed point, c >= n - 1; a split class gives
-    its half size once.
+    by one multiplication. A split Alt_n class gives its half size twice,
+    and a Sym size repeats for cores that differ only in parity; the
+    callers dedupe.
     """
-    alt = kind is GroupKind.ALT and n >= 2
-    maps: list[Iterable[int]] = []
-    for evens, odds in layers:
-        if not alt:
-            maps += map(placed.__floordiv__, evens), map(placed.__floordiv__, odds)
-        elif n - c > 1:
-            maps.append(map(placed.__floordiv__, evens))
-        else:
-            half = placed // 2
-            maps.append([half // z if z & 1 else placed // z for z in evens])
+    sizes: list[Iterable[int]] = []
+    for c, (evens, odds) in enumerate(layers, c):
+        sizes.append(_sizes(kind, n, c, placed, evens, odds))
         placed *= n - c
-        c += 1
-    return chain.from_iterable(maps)
+    return chain.from_iterable(sizes)
 
 
 def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) -> Spectrum:
@@ -211,11 +216,13 @@ def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) ->
 
     Every type of degree n is a fixed-point-free core of support c <= n
     padded by fixed points, so the sizes are read from ``_core_states(n)``,
-    which merges types of equal core; Sym reads both parities' dicts, and
-    ``Spectrum.build`` drops the sizes they share. It builds its own layers
-    rather than filling the ``_core_layers`` cache, which would then hold
-    them for the rest of the process. Degrees above ``cap`` are refused
-    unless the caller raises the cap or disables it with cap=None.
+    which merges types of equal core, and sized layer by layer by
+    ``_sizes``. ``Spectrum.build`` drops the sizes that repeat, such as a
+    Sym size of an even and an odd core or the two halves of a split Alt
+    class. It builds its own layers rather than filling the
+    ``_core_layers`` cache, which would then hold them for the rest of the
+    process. Degrees above ``cap`` are refused unless the caller raises the
+    cap or disables it with cap=None.
     """
     if n < 1:
         raise DomainError("spectrum() needs n >= 1")
@@ -228,11 +235,12 @@ def spectrum(kind: GroupKind, n: int, cap: int | None = DEFAULT_SPECTRUM_CAP) ->
 
 
 @lru_cache(maxsize=None)
-def _fpf_cores(m: int) -> tuple[tuple[CycleType, int, bool], ...]:
-    """(first type, z, even) per distinct core of support m.
+def _fpf_cores(m: int) -> tuple[tuple[CycleType, tuple[tuple[int, ...], tuple[int, ...]]], ...]:
+    """(first type, one-core layer) per distinct core of support m.
 
-    One row per (z, even) core, as ``_core`` gives it, so both kinds share
-    the rows. The order of ``fixed_point_free_partitions`` defines the
+    One row per (z, even) core, as ``_core`` gives it, with the core kept
+    as its ``_one_core`` layer, ready for ``_sizes``; both kinds share the
+    rows. The order of ``fixed_point_free_partitions`` defines the
     witness annotation: each row keeps the first type that walk yields
     with its core, and the rows come in the order of those first types,
     largest part first. Only ``psi_members`` reads the rows; the families
@@ -241,15 +249,16 @@ def _fpf_cores(m: int) -> tuple[tuple[CycleType, int, bool], ...]:
     first: dict[tuple[int, bool], CycleType] = {}
     for ct in fixed_point_free_partitions(m):
         first.setdefault(_core(ct)[1:], ct)
-    return tuple((ct, z, even) for (z, even), ct in first.items())
+    return tuple((ct, _one_core(z, even)) for (z, even), ct in first.items())
 
 
 def moved_class_sizes(kind: GroupKind, i: int) -> Spectrum:
     """Class sizes in V_i of elements that move all i points.
 
     Read from the cores of support i, layer i of ``_core_layers``. Empty
-    for i = 1; for Alt only even types are admissible, and a type with no
-    fixed points splits as ``_sizes`` states.
+    for i = 1. The layer is sized by ``_sizes``: for Alt only even types
+    are admissible, and a type with no fixed points splits as ``_sizes``
+    states.
     """
     if i < 0:
         raise DomainError("moved_class_sizes() needs i >= 0")
@@ -282,14 +291,14 @@ def psi_members(kind: GroupKind, n: int, t: int) -> Iterator[tuple[int, CycleTyp
     """(class size, fixed-point-free cycle type) pairs behind psi_set.
 
     Supports m run over 2 <= m <= n - t. Each distinct core of support m,
-    a (first type, z, even) row of ``_fpf_cores``, yields its sizes once,
-    annotated with its first type in ``fixed_point_free_partitions``
-    order, and the rows come in the order of those first types. So the
-    first pair that yields a size carries the first type, in support and
-    partition order, with that size. A class that splits in Alt_n (see
-    ``_sizes``) yields its common half size twice, once per class, with
-    the same type annotation. The families do not read it: it walks
-    partitions, so it serves only the annotation of a certificate's
+    a (first type, one-core layer) row of ``_fpf_cores``, yields the
+    ``_sizes`` of its layer once, annotated with its first type in
+    ``fixed_point_free_partitions`` order, and the rows come in the order
+    of those first types. So the first pair that yields a size carries the
+    first type, in support and partition order, with that size. A class
+    that splits in Alt_n yields its common half size twice, once per
+    class, with the same type annotation. The families do not read it: it
+    walks partitions, so it serves only the annotation of a certificate's
     witness chain, which stops at the support of the last witness type.
     """
     if t < 0 or t > n:
@@ -299,17 +308,18 @@ def psi_members(kind: GroupKind, n: int, t: int) -> Iterator[tuple[int, CycleTyp
         (s, ct)
         for m in range(2, n - t + 1)
         for placed in [math.perm(n, m)]
-        for ct, z, even in _fpf_cores(m)
-        for s in _sizes(kind, n, placed, m, z, even)
+        for ct, (evens, odds) in _fpf_cores(m)
+        for s in _sizes(kind, n, m, placed, evens, odds)
     )
 
 
 def _psi_sizes(kind: GroupKind, n: int, t: int) -> Iterator[int]:
     """The sizes psi_members yields, in no set order and unchecked, from ``_core_layers``.
 
-    Sym sizes repeat for cores that differ only in parity. ``check_case``
-    feeds them to the chain DP, which dedupes them, and ``psi_set`` builds
-    its Spectrum from them.
+    Sym sizes repeat for cores that differ only in parity, and the half
+    size of a split Alt class repeats, once per class, as in psi_members.
+    ``check_case`` feeds them to the chain DP, which dedupes them, and
+    ``psi_set`` builds its Spectrum from them.
     """
     if t < 0 or t > n:
         raise DomainError(f"psi needs 0 <= t <= n, got n={n}, t={t}")

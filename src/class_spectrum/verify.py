@@ -251,15 +251,23 @@ class HzTableRow(NamedTuple):
     computed: dict[tuple[GroupKind, str], int]
 
 
+def _check_kinds(caller: str, kinds: Sequence[GroupKind]) -> None:
+    """DomainError naming ``caller`` when ``kinds`` is empty or repeats a kind."""
+    if not kinds or len(set(kinds)) < len(kinds):
+        raise DomainError(f"{caller}() needs one or more distinct kinds, got ({', '.join(map(str, kinds))})")
+
+
 def hz_table(max_m: int, kinds: Sequence[GroupKind] = (GroupKind.SYM, GroupKind.ALT)) -> list[HzTableRow]:
     """Rows m = 2..max_m of sum_{i<=m} h(moved class sizes of V_i).
 
     Both counting conventions are reported, the edge column from the same
     per-support vertex heights; reference bounds are attached where known
-    so mismatching combinations can be listed.
+    so mismatching combinations can be listed. It raises DomainError for
+    max_m below 2 and for empty or repeated kinds.
     """
     if max_m < 2:
         raise DomainError("hz_table() needs max_m >= 2")
+    _check_kinds("hz_table", kinds)
     _core_layers(max_m)  # the core-state layers, built once to the largest support any row reads
     rows = []
     for m in range(2, max_m + 1):
@@ -470,16 +478,15 @@ def scan_range(
     takes the tasks in chunks of four from the highest degree down, so the
     costliest degrees start first instead of arriving together in the last
     chunk. Certificates are sorted by (n, kind); the aggregate does not
-    depend on scheduling. It raises DomainError for jobs below 1 or a
-    repeated kind.
+    depend on scheduling. It raises DomainError for jobs below 1 and for
+    empty or repeated kinds.
     """
     if not 23 <= start <= stop:
         raise DomainError("scan_range() needs 23 <= start <= stop")
     if jobs < 1:
         raise DomainError(f"scan_range() needs jobs >= 1, got {jobs}")
     kinds = tuple(kinds)
-    if len(set(kinds)) < len(kinds):
-        raise DomainError(f"scan_range() needs distinct kinds, got {', '.join(map(str, kinds))}")
+    _check_kinds("scan_range", kinds)
     table = shared_table(stop)
     supports = [
         n - t_star

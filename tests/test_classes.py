@@ -29,7 +29,7 @@ from class_spectrum import (
     spectrum,
 )
 from class_spectrum import classes
-from class_spectrum.classes import _core, _core_states, _fpf_cores
+from class_spectrum.classes import _core, _core_states, _fpf_cores, _layer_sizes, _psi_sizes
 from class_spectrum.errors import InvariantError
 from oracles import (
     admissible,
@@ -154,7 +154,9 @@ def test_core_packs_the_state_of_core_states(m):
         assert support == m and z in layer[not even], lam
         walked.add((z, even))
     assert walked == {(z, odd == 0) for odd, zs in enumerate(layer) for z in zs}
-    assert {(z, even) for _, z, even in _fpf_cores(m)} == walked
+    # each _fpf_cores row keeps its core as a layer holding that one core
+    rows = [(z, odd == 0) for _, layer in _fpf_cores(m) for odd, zs in enumerate(layer) for z in zs]
+    assert len(rows) == len(_fpf_cores(m)) and set(rows) == walked
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -402,6 +404,28 @@ def test_entry_points_agree_with_class_size(kind):
             s for lam in partitions(n) if admissible(kind, n, lam) for s in class_size(kind, n, lam)
         }
     assert split_fixed_points == (set() if kind is SYM else {0, 1})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_layer_sizes_give_one_size_per_class(kind):
+    # the layer walk behind the families and the per-core class_size both
+    # read _sizes: a layer's sizes, with repeats, are the class_size lists of
+    # one first type per core of its support, so a split Alt class counts
+    # once per class on both paths
+    layers = _core_states(12)
+    for n in range(0, 13):
+        for c in range(0, n + 1):
+            first_of = {}
+            for lam in fixed_point_free_partitions(c):
+                first_of.setdefault(_core_key(lam), lam)
+            expected = [s for lam in first_of.values() if admissible(kind, n, lam) for s in class_size(kind, n, lam)]
+            got = _layer_sizes(kind, n, c, math.perm(n, c), [layers[c]])
+            assert sorted(got) == sorted(expected), (n, c)
+
+
+def test_psi_sizes_give_a_split_half_once_per_class():
+    # the two 5-cycle classes of Alt_5 have 12 elements each
+    assert sorted(_psi_sizes(ALT, 5, 0)) == [12, 12, 15, 20]
 
 
 @pytest.mark.parametrize("n", range(2, 31))

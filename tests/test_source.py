@@ -4,7 +4,7 @@ from collections import Counter
 from pathlib import Path
 
 import class_spectrum
-from class_spectrum import cli
+from class_spectrum import GroupKind, cli
 
 SOURCES = sorted(Path(class_spectrum.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
@@ -195,6 +195,29 @@ def test_only_the_witness_annotation_walks_partitions():
         for name, owners in _readers(tree, list(readers)).items():
             readers[name] |= owners
     assert readers == {"psi_members": {"_witness_types"}, "_fpf_cores": {"psi_members"}}
+
+
+def test_class_size_rule_has_one_home():
+    # the class-size and Alt-split rule lives in classes._sizes: besides
+    # group_order, only it tells the kinds apart, and only it reads the
+    # parity of z, so the layer walk and the per-core entry points cannot
+    # drift apart
+    members = {member.name for member in GroupKind}
+    kinds, parities = set(), set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Attribute) and node.attr in members and getattr(node.value, "id", None) == "GroupKind":
+            kinds.add(owner)
+        elif isinstance(node, ast.BinOp) and ast.unparse(node) == "z & 1":
+            parities.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(TREES["classes.py"], None)
+    assert kinds == {"group_order", "_sizes"}
+    assert parities == {"_sizes"}
 
 
 def test_bound_formulas_have_one_home():

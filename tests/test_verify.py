@@ -132,6 +132,14 @@ def test_hz_table_matrix_frozen():
         assert row.computed[(ALT, EDGES)] == ae
 
 
+def test_hz_table_refuses_empty_or_repeated_kinds():
+    # no kinds would give rows with nothing computed, and a repeated kind
+    # would compute its columns twice
+    for max_m, kinds in ((3, ()), (4, (SYM, SYM))):
+        with pytest.raises(DomainError, match="distinct kinds"):
+            hz_table(max_m, kinds=kinds)
+
+
 def test_hz_table_each_reference_row_met_by_some_combination():
     for row in hz_table(18):
         if row.reference_bound is None:
@@ -518,8 +526,9 @@ def test_scan_range_validation():
     for jobs in (0, -1):
         with pytest.raises(DomainError, match="jobs >= 1"):
             scan_range(23, 24, jobs=jobs)
-    with pytest.raises(DomainError, match="distinct kinds"):
-        scan_range(23, 24, kinds=(ALT, SYM, ALT))
+    for kinds in ((ALT, SYM, ALT), ()):
+        with pytest.raises(DomainError, match="distinct kinds"):
+            scan_range(23, 24, kinds=kinds)
 
 
 def test_reference_bounds_table():
