@@ -36,6 +36,10 @@ class sizes of a psi family are of n!/(n - m)!, whose largest values
 already have the family's lcm. Past twice the bits the cofactors are no
 smaller than the values, so the plain DP runs instead, as it does when a
 smaller value does not divide N.
+
+A caller that only needs to know whether the height exceeds some k can
+pass limit=k: levels only grow, so the DP stops at the first value that
+would open level index k, and the values after it are never probed.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ def _common_multiple(vals: list[int]) -> int | None:
     return multiple
 
 
-def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+def longest_chain(values: Iterable[int], *, limit: int | None = None) -> tuple[int, tuple[int, ...]]:
     """(vertex count, witness) of a maximal divisibility chain.
 
     Values are taken in ascending order, and each level lists its values
@@ -109,6 +113,11 @@ def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     Ties are broken deterministically: a value's chain parent is the
     smallest of its divisors whose longest chain is longest, and the
     witness ends at the smallest value on the top level.
+
+    With ``limit`` set, the DP stops as soon as a value would open level
+    index ``limit`` and returns (limit + 1, ()): the height is then only a
+    lower bound, and the witness is empty. A height of at most ``limit``
+    is returned as without it.
     """
     vals = sorted(set(values))
     if not vals:
@@ -143,6 +152,8 @@ def longest_chain(values: Iterable[int]) -> tuple[int, tuple[int, ...]]:
             else:
                 hi = mid
         if lo == len(levels):
+            if lo == limit:
+                return limit + 1, ()
             levels.append([])
             screens.append([])
         blocks, block_screens = levels[lo], screens[lo]

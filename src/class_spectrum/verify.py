@@ -320,11 +320,14 @@ def _witness_types(kind: GroupKind, n: int, t_star: int, witness: tuple[int, ...
 
 
 def _candidates(p: int, r: int | None) -> list[tuple[str, int | None, int]]:
-    """(strategy, r, t*) of each strategy ``check_case`` tries, in order, at a degree with these p and r.
+    """(strategy, r, t*) of each strategy ``check_case`` tries at a degree with these p and r, direct first.
 
     The direct strategy takes t* = p; when there is an r, t* = 2r is also
     tried. Since 2r > p + 1, the r-trick's residual support n - 2r is the
-    smaller one.
+    smaller one, and its family psi(2r) is a subset of psi(p), so its
+    height is at most the direct one's. ``check_case`` evaluates the
+    candidates in reverse, the r-trick first, and names skipped ones in
+    this order.
     """
     candidates: list[tuple[str, int | None, int]] = [(STRATEGY_DIRECT, None, p)]
     if r is not None:
@@ -344,14 +347,20 @@ def check_case(n: int, kind: GroupKind) -> Certificate:
     Sym_n moving j <= m = n - t* points has class size n!/((n - j)! z), and
     in Alt_n that size or half of it, so every size divides n!/(n - m)!,
     which has a few bits more than the largest size: ``longest_chain`` runs
-    on cofactors of the family's lcm. The first candidate evaluated is kept
-    unless a later one has a strictly smaller vertex height, so a tie keeps
-    the direct strategy, which is tried first. Only the kept candidate's
-    witness values get cycle types (``_witness_types``). A candidate whose
-    residual support n - t* exceeds SUPPORT_CAP is skipped unbuilt. When
-    every candidate is skipped, as first at n = 520523, the certificate is
-    INDETERMINATE: direct strategy, t* = p, height 0, an empty witness, and
-    the skip reasons as its reason.
+    on cofactors of the family's lcm. The r-trick candidate is evaluated
+    first, and the direct one is kept when its vertex height is at most the
+    r-trick's, so a tie keeps the direct strategy. The direct DP therefore
+    runs with the r-trick's height as its ``limit``: it stops as soon as it
+    is taller, with that height plus one as a lower bound and no witness,
+    and the direct candidate is dropped. Every evaluated candidate's height,
+    a stopped DP's lower bound included, must stay within its summed bound,
+    or ChainBoundViolation is raised. Only the kept candidate's witness
+    values get cycle types (``_witness_types``). A candidate whose residual
+    support n - t* exceeds SUPPORT_CAP is skipped unbuilt, and the skip
+    reasons name the direct strategy first. When every candidate is
+    skipped, as first at n = 520523, the certificate is INDETERMINATE:
+    direct strategy, t* = p, height 0, an empty witness, and the skip
+    reasons as its reason.
     """
     if n < 23:
         raise DomainError("check_case() covers degrees n >= 23")
@@ -362,19 +371,22 @@ def check_case(n: int, kind: GroupKind) -> Certificate:
     verdict = INDETERMINATE
     best = (0, STRATEGY_DIRECT, None, p, 0, ())
     skipped = []
-    for strategy, r_value, t_star in _candidates(p, r):
+    # the r-trick first: the direct DP stops once it is taller than the kept height
+    for strategy, r_value, t_star in reversed(_candidates(p, r)):
         m = n - t_star
         if m > SUPPORT_CAP:
-            skipped.append(f"{strategy}: residual support {m} exceeds cap {SUPPORT_CAP}")
+            skipped.insert(0, f"{strategy}: residual support {m} exceeds cap {SUPPORT_CAP}")
             continue
-        h_value, witness = longest_chain(_psi_sizes(kind, n, t_star))
+        limit = None if verdict == INDETERMINATE else best[0]
+        h_value, witness = longest_chain(_psi_sizes(kind, n, t_star), limit=limit)
         h_sum = sum(_moved_heights(kind, i) for i in range(1, m + 1))
         if h_value > h_sum:
+            at_least = "at least " if limit is not None and h_value > limit else ""
             raise ChainBoundViolation(
-                f"n={n} kind={kind} {strategy}: direct height {h_value} exceeds "
+                f"n={n} kind={kind} {strategy}: direct height {at_least}{h_value} exceeds "
                 f"summed bound {h_sum}; the chain decomposition argument is violated"
             )
-        if verdict == INDETERMINATE or h_value < best[0]:
+        if verdict == INDETERMINATE or h_value <= best[0]:
             verdict = PASS if omega_count > h_value else FAIL
             best = (h_value, strategy, r_value, t_star, h_sum, witness)
 

@@ -256,6 +256,45 @@ def test_cofactor_mode_matches_plain_dp(family, data):
         assert cofactor == longest_chain(values)
 
 
+@pytest.mark.parametrize("family", [values_tied, values_deep, values_any], ids=["tied", "deep", "any"])
+@pytest.mark.parametrize(
+    "common_multiple", [lambda vals: math.lcm(*vals), lambda vals: None], ids=["cofactor", "plain"]
+)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_limit_gives_the_full_result_or_the_stop(family, common_multiple, data):
+    # a height of at most k comes back whole; a taller one stops at the
+    # value that opens level index k, as (k + 1, ())
+    values = data.draw(family)
+    full = quadratic_longest_chain(values)
+    with patch.object(divgraph, "_common_multiple", common_multiple):
+        for k in range(full[0] + 2):
+            assert longest_chain(values, limit=k) == (full if full[0] <= k else (k + 1, ())), k
+
+
+def test_limit_stops_before_the_remaining_values_are_probed(monkeypatch):
+    # 1, 2, 4 fill levels 0 to 2 and 8 opens level 3, so with limit=3 the DP
+    # stops at 8: 3 and 6, taken before it, probe the levels, and 9 to 24,
+    # taken after it, are never probed, as a value or as a cofactor
+    before = [CountedInt(3), CountedInt(6)]
+    after = [CountedInt(v) for v in (9, 12, 16, 24)]
+    values = [1, 2, 4, 8] + before + after
+    monkeypatch.setattr(divgraph, "_common_multiple", lambda vals: None)
+    assert longest_chain(values, limit=3) == (4, ())
+    assert all(v.divisors for v in before)
+    assert not any(v.divisors for v in after)
+    multiple = WatchedMultiple(math.lcm(*values), 16)
+    monkeypatch.setattr(divgraph, "_common_multiple", lambda vals: multiple)
+    assert longest_chain(values, limit=3) == (4, ())
+    assert multiple.cofactor.dividends == []
+    # without the stop, the same values are probed
+    assert longest_chain(values) == quadratic_longest_chain(values) == (5, (1, 2, 4, 8, 16))
+    assert multiple.cofactor.dividends
+    monkeypatch.setattr(divgraph, "_common_multiple", lambda vals: None)
+    assert longest_chain(values) == (5, (1, 2, 4, 8, 16))
+    assert all(v.divisors for v in after)
+
+
 def test_bisection_scans_logarithmically_many_levels():
     chain = [2**j for j in range(60)]
     # odd values in one octave: none is divisible by a chain element but 1 or

@@ -155,7 +155,9 @@ def test_degree_facts_come_from_the_table_query():
 
 def test_longest_chain_callers_pass_only_values():
     # longest_chain finds its own common multiple, so no caller passes one
-    # or divides one out by hand
+    # or divides one out by hand; the one keyword is the limit at check_case's
+    # call, which stops the direct candidate's DP once it is taller than the
+    # r-trick's
     calls = [
         (name, node)
         for name, tree in TREES.items()
@@ -163,8 +165,15 @@ def test_longest_chain_callers_pass_only_values():
         if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "longest_chain"
     ]
     assert {name for name, _ in calls} >= {"cli.py", "verify.py"}
+    check_case = next(
+        node for node in TREES["verify.py"].body if isinstance(node, ast.FunctionDef) and node.name == "check_case"
+    )
+    limited = [call for call in ast.walk(check_case) if any(call is node for _, node in calls)]
+    assert len(limited) == 1
     for name, call in calls:
-        assert len(call.args) == 1 and not call.keywords, f"{name}:{call.lineno} {ast.unparse(call)}"
+        keywords = ["limit"] if call is limited[0] else []
+        where = f"{name}:{call.lineno} {ast.unparse(call)}"
+        assert len(call.args) == 1 and [k.arg for k in call.keywords] == keywords, where
     for name in ("cli.py", "verify.py"):
         assert not {"lcm", "perm", "group_order"} & set(_loaded_names(TREES[name])), name
 

@@ -284,7 +284,8 @@ def test_check_case_cofactor_dp_matches_the_plain_dp(monkeypatch, kind, n):
     assert check_case(n, kind)._replace(elapsed=0) == cofactor._replace(elapsed=0)
     # each family's lcm divides n!/(n - m)!, so every one takes the cofactor DP
     p, r, _ = shared_table(n).degree_primes(n)
-    supports = [n - p] + ([] if r is None else [n - 2 * r])
+    # the r-trick's family is evaluated first
+    supports = ([] if r is None else [n - 2 * r]) + [n - p]
     assert len(multiples) == len(supports)
     for multiple, m in zip(multiples, supports):
         assert multiple is not None and math.perm(n, m) % multiple == 0, m
@@ -292,6 +293,61 @@ def test_check_case_cofactor_dp_matches_the_plain_dp(monkeypatch, kind, n):
     assert check_case(n, kind)._replace(elapsed=0) == cofactor._replace(elapsed=0)
     if n == 1345:
         assert (cofactor.strategy, len(cofactor.witness_chain)) == (verify.STRATEGY_DIRECT, {SYM: 28, ALT: 17}[kind])
+
+
+@pytest.mark.parametrize("kind", [SYM, ALT])
+def test_check_case_stops_the_direct_dp_at_the_r_trick_height(monkeypatch, kind):
+    # at 1360 the r-trick's DP runs whole, and the direct one gets its height
+    # as the limit and stops once it is taller
+    n = 1360
+    p, r, _ = shared_table(n).degree_primes(n)
+    calls = []
+
+    def spy(values, **limit):
+        values = set(values)
+        result = longest_chain(values, **limit)
+        if limit:  # _moved_heights calls longest_chain without one
+            calls.append((values, limit["limit"], result))
+        return result
+
+    monkeypatch.setattr(verify, "longest_chain", spy)
+    cert = check_case(n, kind)
+    assert cert.strategy == verify.STRATEGY_R_TRICK
+    (r_values, r_limit, r_result), (direct_values, direct_limit, direct_result) = calls
+    assert r_values == set(verify._psi_sizes(kind, n, 2 * r)) and r_limit is None
+    assert r_result == (cert.h_value, cert.witness_chain)
+    assert direct_values == set(verify._psi_sizes(kind, n, p))
+    assert direct_limit == cert.h_value
+    assert direct_result == (cert.h_value + 1, ())
+
+
+@pytest.mark.parametrize("kind", [SYM, ALT])
+def test_check_case_tie_keeps_the_direct_strategy(monkeypatch, kind):
+    # give the direct candidate the r-trick's family: the tie keeps the
+    # direct strategy with t* = p, as the full DP without a limit does
+    n = 1360
+    p, r, _ = shared_table(n).degree_primes(n)
+    psi_sizes = verify._psi_sizes
+    monkeypatch.setattr(verify, "_psi_sizes", lambda kind, n, t: psi_sizes(kind, n, 2 * r if t == p else t))
+    tied = check_case(n, kind)
+    assert (tied.strategy, tied.r, tied.t_star) == (verify.STRATEGY_DIRECT, None, p)
+    assert (tied.h_value, tied.witness_chain) == longest_chain(psi_sizes(kind, n, 2 * r))
+    monkeypatch.setattr(verify, "longest_chain", lambda values, limit=None: longest_chain(values))
+    assert check_case(n, kind)._replace(elapsed=0) == tied._replace(elapsed=0)
+
+
+@pytest.mark.parametrize("kind", [SYM, ALT])
+def test_check_case_checks_a_stopped_dp_against_its_bound(monkeypatch, kind):
+    # every per-support bound but the first set to 0, so every summed bound
+    # is the r-trick's height h: the r-trick meets it, and the stopped
+    # direct DP's lower bound h + 1 exceeds it
+    n = 1360
+    h = check_case(n, kind).h_value
+    monkeypatch.setattr(verify, "_moved_heights", lambda kind, i: h if i == 1 else 0)
+    with pytest.raises(
+        verify.ChainBoundViolation, match=f"direct-psi-p: direct height at least {h + 1} exceeds summed bound {h};"
+    ):
+        check_case(n, kind)
 
 
 def _check_case_by_members(n, kind):
