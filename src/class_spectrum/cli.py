@@ -332,7 +332,8 @@ def _main(argv: list[str] | None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.run(args)
-    except (DomainError, OSError, ValueError) as exc:
+    except (DomainError, OSError, ValueError, OverflowError) as exc:
+        # OverflowError: an argument too large to index a sieve or take a factorial of
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

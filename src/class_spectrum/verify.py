@@ -319,78 +319,75 @@ def _witness_types(kind: GroupKind, n: int, t_star: int, witness: tuple[int, ...
     return tuple(first[v] for v in witness)
 
 
-def _candidates(p: int, r: int | None) -> list[tuple[str, int | None, int]]:
-    """(strategy, r, t*) of each strategy ``check_case`` tries at a degree with these p and r, direct first.
+def _candidates(n: int) -> tuple[int, int, list[tuple[str, int | None, int]], list[str]]:
+    """The plan for degree n: p, |Omega(n)|, the (strategy, r, t*) to build and the skip reasons.
 
-    The direct strategy takes t* = p; when there is an r, t* = 2r is also
-    tried. Since 2r > p + 1, the r-trick's residual support n - 2r is the
-    smaller one, and its family psi(2r) is a subset of psi(p), so its
-    height is at most the direct one's. ``check_case`` evaluates the
-    candidates in reverse, the r-trick first, and names skipped ones in
-    this order.
+    p, r and |Omega(n)| come from one ``degree_primes(n)`` query on the
+    shared table. The direct strategy takes t* = p; when there is an r,
+    t* = 2r is also a candidate. A candidate whose residual support
+    n - t* exceeds SUPPORT_CAP is not built, and the skip reasons name the
+    direct strategy first. Since 2r > p + 1, the r-trick's residual
+    support n - 2r is the smaller one, and its family psi(2r) is a subset
+    of psi(p), so its height is at most the direct one's: the built
+    candidates come r-trick first, so that the direct DP can stop once it
+    is taller than the r-trick's.
     """
-    candidates: list[tuple[str, int | None, int]] = [(STRATEGY_DIRECT, None, p)]
-    if r is not None:
-        candidates.append((STRATEGY_R_TRICK, r, 2 * r))
-    return candidates
+    p, r, omega_count = shared_table(n).degree_primes(n)
+    candidates = [(STRATEGY_DIRECT, None, p)] + ([] if r is None else [(STRATEGY_R_TRICK, r, 2 * r)])
+    built, skipped = [], []
+    for strategy, r_value, t_star in candidates:
+        if n - t_star > SUPPORT_CAP:
+            skipped.append(f"{strategy}: residual support {n - t_star} exceeds cap {SUPPORT_CAP}")
+        else:
+            built.append((strategy, r_value, t_star))
+    return p, omega_count, built[::-1], skipped
 
 
 def check_case(n: int, kind: GroupKind) -> Certificate:
     """Certify |Omega(n)| > h for the best strategy available at degree n.
 
-    p, r and |Omega(n)| come from one ``degree_primes(n)`` query on the
-    shared table, and the candidate strategies from ``_candidates``. Each
-    candidate reads the sizes of the small-support class-size family from
-    the cached core states of ``classes._core_layers``, with no cycle types
+    The candidates come from ``_candidates``, in the order they are built.
+    Each reads the sizes of the small-support class-size family from the
+    cached core states of ``classes._core_layers``, with no cycle types
     and no Lagrange pass, measures its chain height under both
     conventions, and records the summed per-support bound. An element of
     Sym_n moving j <= m = n - t* points has class size n!/((n - j)! z), and
     in Alt_n that size or half of it, so every size divides n!/(n - m)!,
     which has a few bits more than the largest size: ``longest_chain`` runs
-    on cofactors of the family's lcm. The r-trick candidate is evaluated
-    first, and the direct one is kept when its vertex height is at most the
-    r-trick's, so a tie keeps the direct strategy. The direct DP therefore
-    runs with the r-trick's height as its ``limit``: it stops as soon as it
-    is taller, with that height plus one as a lower bound and no witness,
-    and the direct candidate is dropped. Every evaluated candidate's height,
-    a stopped DP's lower bound included, must stay within its summed bound,
+    on cofactors of the family's lcm. The first candidate's DP runs whole;
+    a later one runs with the kept height as its ``limit``, so it stops as
+    soon as it is taller, with that height plus one as a lower bound and no
+    witness, and it is kept when its height is at most the kept one, so a
+    tie keeps the direct strategy. Every built candidate's height, a
+    stopped DP's lower bound included, must stay within its summed bound,
     or ChainBoundViolation is raised. Only the kept candidate's witness
-    values get cycle types (``_witness_types``). A candidate whose residual
-    support n - t* exceeds SUPPORT_CAP is skipped unbuilt, and the skip
-    reasons name the direct strategy first. When every candidate is
-    skipped, as first at n = 520523, the certificate is INDETERMINATE:
+    values get cycle types (``_witness_types``). When no candidate is
+    built, as first at n = 520523, the certificate is INDETERMINATE:
     direct strategy, t* = p, height 0, an empty witness, and the skip
     reasons as its reason.
     """
     if n < 23:
         raise DomainError("check_case() covers degrees n >= 23")
     started = time.perf_counter()
-    p, r, omega_count = shared_table(n).degree_primes(n)
+    p, omega_count, built, skipped = _candidates(n)
 
-    # (h_value, strategy, r, t*, h_sum, witness), INDETERMINATE until a candidate is evaluated
-    verdict = INDETERMINATE
+    # (h_value, strategy, r, t*, h_sum, witness) of the kept candidate
     best = (0, STRATEGY_DIRECT, None, p, 0, ())
-    skipped = []
-    # the r-trick first: the direct DP stops once it is taller than the kept height
-    for strategy, r_value, t_star in reversed(_candidates(p, r)):
-        m = n - t_star
-        if m > SUPPORT_CAP:
-            skipped.insert(0, f"{strategy}: residual support {m} exceeds cap {SUPPORT_CAP}")
-            continue
-        limit = None if verdict == INDETERMINATE else best[0]
+    for i, (strategy, r_value, t_star) in enumerate(built):
+        limit = best[0] if i else None
         h_value, witness = longest_chain(_psi_sizes(kind, n, t_star), limit=limit)
-        h_sum = sum(_moved_heights(kind, i) for i in range(1, m + 1))
+        h_sum = sum(_moved_heights(kind, j) for j in range(1, n - t_star + 1))
         if h_value > h_sum:
             at_least = "at least " if limit is not None and h_value > limit else ""
             raise ChainBoundViolation(
                 f"n={n} kind={kind} {strategy}: direct height {at_least}{h_value} exceeds "
                 f"summed bound {h_sum}; the chain decomposition argument is violated"
             )
-        if verdict == INDETERMINATE or h_value <= best[0]:
-            verdict = PASS if omega_count > h_value else FAIL
+        if limit is None or h_value <= limit:
             best = (h_value, strategy, r_value, t_star, h_sum, witness)
 
     h_value, strategy, r_value, t_star, h_sum, witness = best
+    verdict = (PASS if omega_count > h_value else FAIL) if built else INDETERMINATE
     return Certificate(
         n=n,
         kind=kind,
@@ -406,7 +403,7 @@ def check_case(n: int, kind: GroupKind) -> Certificate:
         witness_chain=witness,
         witness_cycle_types=_witness_types(kind, n, t_star, witness),
         elapsed=time.perf_counter() - started,
-        reason="; ".join(skipped) if verdict == INDETERMINATE else None,
+        reason=None if built else "; ".join(skipped),
     )
 
 
@@ -479,19 +476,19 @@ def scan_range(
 
     Before any fork, the caller sieves the shared primality table to
     ``stop`` and builds the core-state layers of ``classes._core_layers``
-    once, to the largest residual support of any candidate ``check_case``
-    builds in the range (``_candidates``, at most SUPPORT_CAP), so every
-    process reads the same layers. Each process grows the per-support
-    chain heights lazily, as its own check_case calls first need them; it
-    walks partitions (``classes._fpf_cores``) only up to the support of
-    the last witness type it annotates. The pool never holds more workers
-    than there are tasks or CPUs this process may run on, and a scan that
-    would get one worker runs serially, without importing the pool. It
-    takes the tasks in chunks of four from the highest degree down, so the
-    costliest degrees start first instead of arriving together in the last
-    chunk. Certificates are sorted by (n, kind); the aggregate does not
-    depend on scheduling. It raises DomainError for jobs below 1 and for
-    empty or repeated kinds.
+    once, to the largest residual support n - t* of any candidate built in
+    the range, read from the same ``_candidates`` plans ``check_case``
+    follows, so every process reads the same layers. Each process grows the
+    per-support chain heights lazily, as its own check_case calls first
+    need them; it walks partitions (``classes._fpf_cores``) only up to the
+    support of the last witness type it annotates. The pool never holds
+    more workers than there are tasks or CPUs this process may run on, and
+    a scan that would get one worker runs serially, without importing the
+    pool. It takes the tasks in chunks of four from the highest degree
+    down, so the costliest degrees start first instead of arriving together
+    in the last chunk. Certificates are sorted by (n, kind); the aggregate
+    does not depend on scheduling. It raises DomainError for jobs below 1
+    and for empty or repeated kinds.
     """
     if not 23 <= start <= stop:
         raise DomainError("scan_range() needs 23 <= start <= stop")
@@ -499,13 +496,8 @@ def scan_range(
         raise DomainError(f"scan_range() needs jobs >= 1, got {jobs}")
     kinds = tuple(kinds)
     _check_kinds("scan_range", kinds)
-    table = shared_table(stop)
-    supports = [
-        n - t_star
-        for n in range(start, stop + 1)
-        for _, _, t_star in _candidates(*table.degree_primes(n)[:2])
-        if n - t_star <= SUPPORT_CAP
-    ]
+    shared_table(stop)  # sieved once here, so each plan below reads the same table
+    supports = [n - t_star for n in range(start, stop + 1) for _, _, t_star in _candidates(n)[2]]
     if supports:
         _core_layers(max(supports))
     tasks = [(n, kind) for n in range(start, stop + 1) for kind in kinds]

@@ -601,6 +601,24 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--x", str(10**23)],
+        ["omega", "--n", str(10**23)],
+        ["verify", "case", "--n", str(10**23), "--kind", "sym"],
+        ["spectrum", "--kind", "sym", "--family", "moved", "--n", str(10**23), "--no-cache"],
+    ],
+)
+def test_argument_too_large_exits_2(capsys, argv):
+    # exit 1 means a FAIL verdict; a degree too large to sieve to or take the
+    # factorial of decides nothing, and each of these fails before any large
+    # allocation
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_scan_rejects_jobs_below_one(capsys, tmp_path, jobs):
     code, out, err = run_cli(

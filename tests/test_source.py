@@ -153,6 +153,27 @@ def test_degree_facts_come_from_the_table_query():
     assert calls == []
 
 
+def test_the_plan_for_a_degree_has_one_home():
+    # verify._candidates alone decides which strategies a degree builds: it
+    # makes verify.py's one degree_primes query besides check_omega_lemma's,
+    # and it alone compares anything with SUPPORT_CAP
+    queries, capped = set(), set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "degree_primes":
+            queries.add(owner)
+        elif isinstance(node, ast.Compare) and "SUPPORT_CAP" in _loaded_names(node):
+            capped.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(TREES["verify.py"], None)
+    assert queries == {"_candidates", "check_omega_lemma"}
+    assert capped == {"_candidates"}
+
+
 def test_longest_chain_callers_pass_only_values():
     # longest_chain finds its own common multiple, so no caller passes one
     # or divides one out by hand; the one keyword is the limit at check_case's

@@ -149,7 +149,8 @@ def test_hz_table_each_reference_row_met_by_some_combination():
 
 def _r_by_rule(n):
     # r re-derived from prev_prime rather than read from degree_primes, the
-    # query check_case makes: the largest prime r <= n // 2, kept when 2r > p + 1
+    # query check_case's plan (_candidates) makes: the largest prime
+    # r <= n // 2, kept when 2r > p + 1
     table = shared_table(n)
     r = table.prev_prime(n // 2)
     return r if 2 * r > table.prev_prime(n) + 1 else None
@@ -166,9 +167,9 @@ def test_r_trick_wins_strictly_wherever_r_exists():
 
 
 def test_certificates_agree_with_the_lemma_and_the_r_rule():
-    # check_case reads p, r and |Omega(n)| from one degree_primes query and
-    # does not call check_omega_lemma; every certificate must agree with the
-    # lemma record and with r re-derived from prev_prime
+    # check_case reads p, r and |Omega(n)| from its plan's degree_primes
+    # query and does not call check_omega_lemma; every certificate must agree
+    # with the lemma record and with r re-derived from prev_prime
     report = scan_range(23, 400)
     assert len(report.certificates) == 2 * (400 - 23 + 1)
     for cert in report.certificates:
@@ -257,6 +258,37 @@ def test_check_case_takes_r_trick_when_cap_skips_direct():
         assert (cert.r, cert.t_star, cert.support_m) == (r, 2 * r, 4)
         assert cert.reason is None
         assert cert.verdict == PASS
+
+
+@pytest.mark.parametrize(
+    "n, p, omega_count, built, reasons",
+    [
+        # prime: the direct strategy alone, at support 0
+        (1361, 1361, 95, [(verify.STRATEGY_DIRECT, None, 1361)], ""),
+        (1360, 1327, 94, [(verify.STRATEGY_R_TRICK, 677, 1354), (verify.STRATEGY_DIRECT, None, 1327)], ""),
+        (
+            31458,
+            31397,
+            1553,
+            [(verify.STRATEGY_R_TRICK, 15727, 31454)],
+            "direct-psi-p: residual support 61 exceeds cap 60",
+        ),
+        (
+            520523,
+            520451,
+            20242,
+            [],
+            "direct-psi-p: residual support 72 exceeds cap 60; r-trick: residual support 61 exceeds cap 60",
+        ),
+    ],
+)
+def test_candidates_plans_each_degree(n, p, omega_count, built, reasons):
+    # the plan check_case follows: the candidates it builds, r-trick first,
+    # and the skip reasons, direct first, joined as an INDETERMINATE
+    # certificate gives them
+    plan_p, plan_omega, plan_built, skipped = verify._candidates(n)
+    assert (plan_p, plan_omega, plan_built) == (p, omega_count, built)
+    assert "; ".join(skipped) == reasons
 
 
 def test_check_case_reruns_identical_except_elapsed():
