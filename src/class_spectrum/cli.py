@@ -333,7 +333,7 @@ def _main(argv: list[str] | None) -> int:
     try:
         return args.run(args)
     except (DomainError, OSError, ValueError, OverflowError) as exc:
-        # OverflowError: an argument too large to index a sieve or take a factorial of
+        # OverflowError: an argument too large to take a factorial of
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

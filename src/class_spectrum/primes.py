@@ -28,6 +28,7 @@ floating-point diagnostics only.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import NamedTuple
@@ -159,10 +160,13 @@ def sieve(limit: int) -> PrimalityTable:
     become the digits '0'/'1', reversed so that flag i is bit i, and are
     read as one base-2 int whose little-endian bytes are the slice's bits.
     Segment and slice starts are multiples of 8, so each slice fills whole
-    bytes of the table from byte (seg_lo + off) >> 3.
+    bytes of the table from byte (seg_lo + off) >> 3. A limit below 0, or
+    one whose table could not be indexed, raises DomainError naming it.
     """
-    if limit < 0:
-        raise DomainError("sieve() needs limit >= 0")
+    # from 8 * sys.maxsize up, the table's limit // 8 + 1 bytes pass sys.maxsize,
+    # where bytearray raises OverflowError, an error that names no argument
+    if not 0 <= limit // 8 < sys.maxsize:
+        raise DomainError(f"sieve() needs 0 <= limit < {8 * sys.maxsize}, got {limit}")
     bits = bytearray(limit // 8 + 1)
     root = math.isqrt(limit)
     base = sieve(root).primes_in(2, root) if root >= 2 else []

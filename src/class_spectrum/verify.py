@@ -484,9 +484,8 @@ def scan_range(
     support of the last witness type it annotates. The pool never holds
     more workers than there are tasks or CPUs this process may run on, and
     a scan that would get one worker runs serially, without importing the
-    pool. It takes the tasks in chunks of four from the highest degree
-    down, so the costliest degrees start first instead of arriving together
-    in the last chunk. Certificates are sorted by (n, kind); the aggregate
+    pool. The pool maps check_case over the tasks in scan order, in chunks
+    of its own choosing. Certificates are sorted by (n, kind); the aggregate
     does not depend on scheduling. It raises DomainError for jobs below 1
     and for empty or repeated kinds.
     """
@@ -511,13 +510,12 @@ def scan_range(
     else:
         # here, not at module level: only a forking scan pays for importing the pool
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-forking platforms
             context = multiprocessing.get_context()
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            certificates = list(pool.map(check_case, *zip(*tasks[::-1]), chunksize=4))
+        with context.Pool(workers) as pool:
+            certificates = pool.starmap(check_case, tasks)
     certificates.sort(key=lambda cert: (cert.n, cert.kind.value))
     return ScanReport(start=start, stop=stop, kinds=kinds, certificates=certificates)

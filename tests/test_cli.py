@@ -608,15 +608,18 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
         ["omega", "--n", str(10**23)],
         ["verify", "case", "--n", str(10**23), "--kind", "sym"],
         ["spectrum", "--kind", "sym", "--family", "moved", "--n", str(10**23), "--no-cache"],
+        ["verify", "scan", "--from", "23", "--to", str(10**23)],
     ],
 )
 def test_argument_too_large_exits_2(capsys, argv):
     # exit 1 means a FAIL verdict; a degree too large to sieve to or take the
     # factorial of decides nothing, and each of these fails before any large
-    # allocation
+    # allocation. The sieve's error names the limit it was asked for.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    if argv[0] != "spectrum":
+        assert str(10**23) in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

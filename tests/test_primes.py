@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import sys
 from itertools import accumulate
 
 import pytest
@@ -54,6 +55,16 @@ def test_sieve_segment_boundaries():
     table = sieve(limit)
     for k in range((1 << 20) - 30, limit + 1):
         assert table.is_prime(k) == trial_division_is_prime(k)
+
+
+def test_sieve_refuses_a_limit_outside_its_range_by_name():
+    # a table of limit // 8 + 1 bytes past sys.maxsize cannot be indexed; one
+    # byte less is refused by bytearray as MemoryError before any allocation
+    for limit in (-1, 8 * sys.maxsize):
+        with pytest.raises(DomainError, match=f"got {limit}$"):
+            sieve(limit)
+    with pytest.raises(MemoryError):
+        sieve(8 * sys.maxsize - 1)
 
 
 def pack_bit_by_bit(flags: bytearray) -> bytearray:

@@ -1,6 +1,7 @@
-import concurrent.futures
+import itertools
 import json
 import math
+import multiprocessing.pool
 import os
 import pickle
 import random
@@ -499,18 +500,21 @@ def test_scan_parallel_matches_serial(monkeypatch):
     # forks a real two-worker pool and its certificates come back pickled
     pools = []
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, mp_context=None):
-            pools.append(max_workers)
-            super().__init__(max_workers, mp_context=mp_context)
+    class RecordingPool(multiprocessing.pool.Pool):
+        def __init__(self, processes=None, *args, **kwargs):
+            pools.append(processes)
+            super().__init__(processes, *args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # a context's Pool() imports the class from multiprocessing.pool when called
+    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     serial = scan_range(23, 60, jobs=1)
     assert pools == []
     parallel = scan_range(23, 60, jobs=2)
     assert pools == [2]
+    # no worker outlives the scan
+    assert multiprocessing.active_children() == []
     assert serial.summary_dict() == parallel.summary_dict()
     for a, b in zip(serial.certificates, parallel.certificates):
         da, db = jsonable(a), jsonable(b)
@@ -554,10 +558,10 @@ def _recording_pool(monkeypatch, cpu_count, affinity):
     degrees = []
 
     class SerialPool:
-        """Stand-in for ProcessPoolExecutor that records its size and maps in-process."""
+        """Stand-in for multiprocessing.pool.Pool that records its size and maps in-process."""
 
-        def __init__(self, max_workers, mp_context=None):
-            sizes.append(max_workers)
+        def __init__(self, processes=None, initializer=None, initargs=(), maxtasksperchild=None, context=None):
+            sizes.append(processes)
 
         def __enter__(self):
             return self
@@ -565,12 +569,13 @@ def _recording_pool(monkeypatch, cpu_count, affinity):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, degrees_in, kinds_in, chunksize=1):
-            degrees.extend(degrees_in)
-            return map(fn, degrees_in, kinds_in)
+        def starmap(self, func, iterable, chunksize=None):
+            tasks = list(iterable)
+            degrees.extend(n for n, _ in tasks)
+            return list(itertools.starmap(func, tasks))
 
-    # scan_range imports the pool class from concurrent.futures only when it forks
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # a context's Pool() imports the class from multiprocessing.pool when called
+    monkeypatch.setattr(multiprocessing.pool, "Pool", SerialPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpu_count)
     if affinity is None:
         monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
@@ -584,11 +589,11 @@ def test_scan_pool_capped_by_tasks_and_cpus(monkeypatch, cpus, expected):
     # 23..24 x {sym, alt} is 4 tasks; a pool never gets more workers than
     # tasks or CPUs, and a one-worker pool falls back to the serial loop.
     # cpus None is a platform with neither an affinity mask nor a CPU count.
-    # A pool is handed the costliest (highest) degrees first.
+    # A pool is handed the tasks in scan order.
     sizes, degrees = _recording_pool(monkeypatch, cpus, None if cpus is None else range(cpus))
     report = scan_range(23, 24, jobs=5000)
     assert sizes == expected
-    assert degrees == ([24, 24, 23, 23] if expected else [])
+    assert degrees == ([23, 23, 24, 24] if expected else [])
     assert report.summary_dict() == scan_range(23, 24, jobs=1).summary_dict()
 
 
