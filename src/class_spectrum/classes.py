@@ -10,6 +10,7 @@ are produced as deduplicated ``Spectrum`` values.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, compress, repeat
@@ -67,9 +68,13 @@ class Spectrum(NamedTuple):
 
 
 def group_order(kind: GroupKind, n: int) -> int:
-    """n! for Sym_n; n!/2 for Alt_n with n >= 2; Alt_0 and Alt_1 are trivial."""
-    if n < 0:
-        raise DomainError("group degree must be >= 0")
+    """n! for Sym_n; n!/2 for Alt_n with n >= 2; Alt_0 and Alt_1 are trivial.
+
+    A degree below 0, or one past sys.maxsize, where math.factorial raises
+    an OverflowError that names no argument, raises DomainError naming it.
+    """
+    if not 0 <= n <= sys.maxsize:
+        raise DomainError(f"group degree must be >= 0 and <= {sys.maxsize}, got {n}")
     if kind is GroupKind.SYM:
         return math.factorial(n)
     return math.factorial(n) // 2 if n >= 2 else 1
@@ -262,8 +267,9 @@ def moved_class_sizes(kind: GroupKind, i: int) -> Spectrum:
     """
     if i < 0:
         raise DomainError("moved_class_sizes() needs i >= 0")
+    order = group_order(kind, i)  # first, since math.factorial refuses a huge i without naming it
     values = _layer_sizes(kind, i, i, math.factorial(i), [_core_layers(i)[i]])
-    return Spectrum.build(values, kind, i)
+    return Spectrum.build(values, kind, i, order)
 
 
 def phi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
@@ -281,10 +287,11 @@ def phi_set(kind: GroupKind, n: int, t: int) -> Spectrum:
     """
     if not (2 * t > n and t <= n):
         raise DomainError(f"phi_set needs n/2 < t <= n, got n={n}, t={t}")
+    order = group_order(kind, n)  # first, since math.perm refuses a huge t without naming it
     layers = _core_layers(n - t)[: n - t + 1]
     if t % 2 == 0:
         layers = [(odds, evens) for evens, odds in layers]
-    return Spectrum.build(_layer_sizes(kind, n, t, math.perm(n, t) // t, layers), kind, n)
+    return Spectrum.build(_layer_sizes(kind, n, t, math.perm(n, t) // t, layers), kind, n, order)
 
 
 def psi_members(kind: GroupKind, n: int, t: int) -> Iterator[tuple[int, CycleType]]:

@@ -173,8 +173,6 @@ def sieve(limit: int) -> PrimalityTable:
     for seg_lo in range(0, limit + 1, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE - 1, limit)
         window = bytearray([1]) * (seg_hi - seg_lo + 1)
-        if seg_lo == 0:
-            window[0 : min(2, len(window))] = b"\x00\x00"[: min(2, len(window))]
         for p in base:
             start = max(p * p, ((seg_lo + p - 1) // p) * p)
             if start > seg_hi:
@@ -185,6 +183,7 @@ def sieve(limit: int) -> PrimalityTable:
             packed = int(chunk.translate(_FLAG_DIGITS)[::-1], 2).to_bytes((len(chunk) + 7) >> 3, "little")
             at = (seg_lo + off) >> 3
             bits[at : at + len(packed)] = packed
+    bits[0] &= 0b11111100  # 0 and 1 are not prime
     return PrimalityTable(limit, bits)
 
 

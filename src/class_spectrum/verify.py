@@ -107,39 +107,38 @@ _SCALARS = frozenset({type(None), bool, int, float, str})
 def jsonable(obj):
     """The JSON form of a result: every integer inside a list is a decimal string.
 
-    Scalars (None, bool, int, float, str) stay as they are, so scalar
-    fields remain JSON numbers. A CycleType becomes its part list of ints
-    and any other record (a named tuple) a dict over its fields. Any other
-    tuple, or a list, becomes a list whose int elements are decimal
-    strings, since those hold the big integers (class sizes, witness
-    chains, prime sets). A list of ints that share a factor of at least
-    SHARED_FACTOR_BITS bits, such as a phi family, where every size is
-    n!/((n-t)! t) times a class size of Sym_{n-t}, is written through that
-    factor (``_through_factor``), with the same strings as str(). An Enum
-    becomes its value. A dict keeps its keys, except that a tuple key is
-    joined with "/". Anything else raises TypeError.
+    Types are tested in the order records nest; scalars, tuples, lists and
+    CycleType by exact type. Scalars (None, bool, int, float, str) stay as
+    they are, so scalar fields remain JSON numbers. A plain tuple or list
+    becomes a list whose int elements are decimal strings, since those hold
+    the big integers (class sizes, witness chains, prime sets). A list of
+    ints that share a factor of at least SHARED_FACTOR_BITS bits, such as a
+    phi family, where every size is n!/((n-t)! t) times a class size of
+    Sym_{n-t}, is written through that factor (``_through_factor``), with
+    the same strings as str(). A CycleType becomes its part list of ints
+    and an Enum its value. A dict keeps its keys, except that a tuple key
+    is joined with "/", and a record (a named tuple) becomes a dict over
+    its fields. Anything else, a subclass of a scalar, tuple or list
+    included, raises TypeError.
     """
     cls = type(obj)
     if cls in _SCALARS:
         return obj
+    if cls is tuple or cls is list:
+        g = _shared_factor(obj)
+        if g:
+            return _through_factor(obj, g)
+        return [str(v) if type(v) is int else jsonable(v) for v in obj]
     if cls is CycleType:
         return list(obj.part_list())
-    if cls is not tuple and cls is not list:  # plain tuples and lists skip to the list form
-        if isinstance(obj, (bool, int, float, str)):
-            return obj
-        if isinstance(obj, Enum):
-            return obj.value
-        names = getattr(cls, "_fields", None)
-        if names is not None:
-            return {name: v if type(v) in _SCALARS else jsonable(v) for name, v in zip(names, obj)}
-        if isinstance(obj, dict):
-            return {"/".join(map(str, k)) if isinstance(k, tuple) else k: jsonable(v) for k, v in obj.items()}
-        if not isinstance(obj, (tuple, list)):
-            raise TypeError(f"cannot serialize {cls.__name__}")
-    g = _shared_factor(obj)
-    if g:
-        return _through_factor(obj, g)
-    return [str(v) if type(v) is int else jsonable(v) for v in obj]
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {"/".join(map(str, k)) if isinstance(k, tuple) else k: jsonable(v) for k, v in obj.items()}
+    names = getattr(cls, "_fields", None)
+    if names is not None:
+        return {name: v if type(v) in _SCALARS else jsonable(v) for name, v in zip(names, obj)}
+    raise TypeError(f"cannot serialize {cls.__name__}")
 
 
 class ChainBoundViolation(InvariantError):

@@ -201,6 +201,29 @@ def test_phi_set_range_check():
         phi_set(SYM, 6, 7)
 
 
+HUGE = 10**23  # past sys.maxsize, where math.factorial and math.perm refuse without naming the argument
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: group_order(SYM, -1), "group degree must be >= 0"),
+        (lambda: group_order(ALT, sys.maxsize + 1), f"got {sys.maxsize + 1}"),
+        (lambda: spectrum(SYM, 0), "needs n >= 1"),
+        (lambda: moved_class_sizes(SYM, -1), "needs i >= 0"),
+        (lambda: moved_class_sizes(ALT, HUGE), f"got {HUGE}"),
+        (lambda: psi_set(SYM, HUGE, HUGE), f"got {HUGE}"),
+        (lambda: phi_set(ALT, HUGE, HUGE), f"got {HUGE}"),
+    ],
+    ids=["order-negative", "order-huge", "spectrum-zero", "moved-negative", "moved-huge", "psi-huge", "phi-huge"],
+)
+def test_degree_refusals_name_the_bound(call, message):
+    # each is a DomainError, raised before any factorial or family is built
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert message in str(refused.value)
+
+
 def test_psi_set_examples():
     assert psi_set(SYM, 10, 7).values == (45, 240)
     assert psi_set(SYM, 6, 2).values == (15, 40, 45, 90)

@@ -178,6 +178,27 @@ def test_spectrum_survives_unwritable_cache(capsys, tmp_path):
     assert blocker.read_text() == ""
 
 
+def test_failed_cache_write_leaves_no_temporary_file(capsys, tmp_path, monkeypatch):
+    # the entry is written to a temporary file and renamed into place; when
+    # the rename fails, put removes the temporary file and re-raises
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    cache = SpectrumCache(root=tmp_path / "direct")
+    with pytest.raises(OSError, match="rename refused"):
+        cache.put({"op": "spectrum", "n": 5}, ["1", "12"])
+    assert list((tmp_path / "direct").iterdir()) == []
+
+    cache_dir = tmp_path / "cache"
+    args = ["spectrum", "--kind", "alt", "--n", "5", "--format", "json", "--cache-dir", str(cache_dir)]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0
+    assert out == '{"values":["1","12","15","20"]}\n'
+    assert err == "warning: spectrum cache not written: rename refused\n"
+    assert list(cache_dir.iterdir()) == []
+
+
 def test_spectrum_without_a_home_directory(capsys, monkeypatch):
     # the default cache directory needs a home directory when neither
     # CLASS_SPECTRUM_CACHE nor XDG_CACHE_HOME is set
@@ -609,17 +630,18 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
         ["verify", "case", "--n", str(10**23), "--kind", "sym"],
         ["spectrum", "--kind", "sym", "--family", "moved", "--n", str(10**23), "--no-cache"],
         ["verify", "scan", "--from", "23", "--to", str(10**23)],
+        ["spectrum", "--kind", "sym", "--family", "psi", "--n", str(10**23), "--t", str(10**23), "--no-cache"],
+        ["spectrum", "--kind", "sym", "--family", "phi", "--n", str(10**23), "--t", str(10**23), "--no-cache"],
     ],
 )
 def test_argument_too_large_exits_2(capsys, argv):
     # exit 1 means a FAIL verdict; a degree too large to sieve to or take the
     # factorial of decides nothing, and each of these fails before any large
-    # allocation. The sieve's error names the limit it was asked for.
+    # allocation. The error names the limit or degree it was given.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
-    if argv[0] != "spectrum":
-        assert str(10**23) in err
+    assert str(10**23) in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

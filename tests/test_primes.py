@@ -252,6 +252,22 @@ def test_omega_count_equals_pi_difference():
         assert all(table.is_prime(t) and n // 2 < t <= n for t in data.omega)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: chebyshev_sweep(9, 20), "starts above 10"),
+        (lambda: factorial_ratio(-1, -2), "needs naturals"),
+        (lambda: sieve(100).is_prime(-1), "outside sieve range"),
+        (lambda: sieve(100).is_prime(101), "outside sieve range"),
+    ],
+    ids=["sweep-below-10", "ratio-negative", "is-prime-below", "is-prime-above"],
+)
+def test_refusals_say_what_is_out_of_range(call, message):
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert message in str(refused.value)
+
+
 def test_factorial_ratio_examples():
     assert factorial_ratio(5, 5) == 1
     assert factorial_ratio(5, 3) == 20

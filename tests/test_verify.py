@@ -226,6 +226,22 @@ def test_check_case_requires_scan_domain():
         check_case(22, SYM)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hz_table(1), "needs max_m >= 2"),
+        (lambda: check_omega_lemma(2), "needs n >= 3"),
+        (lambda: omega_sweep(2, 10), "3 <= start <= stop"),
+        (lambda: omega_sweep(30, 29), "3 <= start <= stop"),
+    ],
+    ids=["hz-table-below-2", "omega-below-3", "sweep-below-3", "sweep-reversed"],
+)
+def test_refusals_name_the_bound(call, message):
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert message in str(refused.value)
+
+
 def test_check_case_tightest_counterexample_degree():
     # the smallest margin |omega| - h over the 202 degrees in (1361, 5778]
     # where the threshold inequality fails
@@ -734,3 +750,22 @@ def test_jsonable_other_lists_keep_the_element_rule(digits_lifted, shared_factor
     # with one more bit the same list goes through its factor
     assert jsonable([at * 3, at * 5]) == [str(at * 3), str(at * 5)]
     assert shared_factor_calls == [at]
+
+
+class _Count(int):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+@pytest.mark.parametrize(
+    "obj, name",
+    [(object(), "object"), (_Count(3), "_Count"), (_Items([1, 2]), "_Items"), ({"n": {1, 2}}, "set")],
+    ids=["object", "int-subclass", "list-subclass", "set-in-dict"],
+)
+def test_jsonable_refuses_other_types(obj, name):
+    # types are matched exactly: a subclass of a scalar, tuple or list is no record
+    with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+        jsonable(obj)
