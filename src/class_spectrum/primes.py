@@ -5,11 +5,13 @@ limits up to 10^8 stay within ordinary memory: bit k & 7 of byte k >> 3 is
 set exactly when k is prime. The primes up to sqrt(limit) that cross off
 the windows come from a smaller ``sieve`` of that square root, so there is
 one sieve. Each window is crossed off one byte per integer and then packed
-8 KiB at a time by C-level bytes and int operations, and ``primes_in``
-enumerates set bits a byte at a time from a 256-entry offset table, so
-neither does a Python step per integer. ``count`` reads pi(x) from a rank
-index of cumulative popcounts, one per 1 KiB of the table, built on its
-first call, so it costs the same at every x.
+8 KiB at a time by C-level bytes and int operations, so no Python step
+is taken per integer. ``primes_in`` slices a prime index, an array of
+every prime <= limit, between two bisects; the index is built on its
+first call from the set bits of each non-zero byte, read from a 256-entry
+offset table. ``count`` reads pi(x) from a rank index of cumulative
+popcounts, one per 1 KiB of the table, built on its first call, so it
+costs the same at every x.
 
 ``chebyshev_sweep`` walks prime gaps: it reads the primes of its interval
 once, and pi(x) and the largest prime <= x stay fixed across each gap.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import NamedTuple
@@ -58,16 +61,23 @@ class PrimalityTable:
 
     ``_rank`` is ``count``'s rank index, built on the first ``count``:
     ``_rank[i]`` is the number of set bits in the first ``i`` 1 KiB blocks
-    of ``_bits``. The bits never change after construction, so neither
-    does the index; a larger table is a new table with its own.
+    of ``_bits``. ``_primes`` is ``primes_in``'s prime index, built on the
+    first ``primes_in``: an array of every prime <= limit, ascending, at 4
+    bytes per prime below 2^32 (314 KB at 10^6 and about 23 MB at 10^8,
+    beside a bit table of 125 KB and 12.5 MB). No other method reads it,
+    so a table that only answers ``is_prime``, ``count``, ``prev_prime``
+    and ``degree_primes`` never builds it. The bits never change after
+    construction, so neither do the indexes; a larger table is a new
+    table with its own.
     """
 
-    __slots__ = ("limit", "_bits", "_rank")
+    __slots__ = ("limit", "_bits", "_rank", "_primes")
 
     def __init__(self, limit: int, bits: bytearray):
         self.limit = limit
         self._bits = bits
         self._rank: list[int] | None = None
+        self._primes: array | None = None
 
     def is_prime(self, k: int) -> bool:
         if k < 0 or k > self.limit:
@@ -98,28 +108,20 @@ class PrimalityTable:
         return total
 
     def primes_in(self, lo: int, hi: int) -> list[int]:
-        """All primes in [lo, hi], ascending.
+        """All primes in [lo, hi], ascending, as a new list.
 
-        Walks the set bits of the bytes that cover [lo, hi]: each non-zero
-        byte j contributes 8j + i for the offsets i of its set bits, and the
-        up to 7 entries outside [lo, hi] at either end are then trimmed in
-        place.
+        The first call builds the prime index from the set bits of each
+        non-zero byte j, which contribute 8j + i for the offsets i of those
+        bits; every call then slices it between two bisects. The slice is
+        a fresh list, so a caller may extend it.
         """
-        lo = max(lo, 2)
         if hi > self.limit:
             raise DomainError(f"{hi} outside sieve range [0, {self.limit}]")
-        if lo > hi:
-            return []
-        first = lo >> 3
-        found = [
-            (j << 3) + i
-            for j, byte in enumerate(self._bits[first : (hi >> 3) + 1], first)
-            if byte
-            for i in _BIT_OFFSETS[byte]
-        ]
-        del found[bisect_right(found, hi) :]
-        del found[: bisect_left(found, lo)]
-        return found
+        primes = self._primes
+        if primes is None:
+            found = ((j << 3) + i for j, byte in enumerate(self._bits) if byte for i in _BIT_OFFSETS[byte])
+            primes = self._primes = array("I" if self.limit < 1 << 32 else "Q", found)
+        return primes[bisect_left(primes, lo) : bisect_right(primes, hi)].tolist()
 
     def prev_prime(self, x: int) -> int | None:
         """Largest prime <= x, or None when x < 2."""

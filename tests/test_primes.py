@@ -2,7 +2,7 @@ import bisect
 import math
 import random
 import sys
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +106,67 @@ def test_primes_in_byte_edges():
 def test_primes_in_above_limit_raises(lo, hi):
     with pytest.raises(DomainError):
         SMALL_TABLE.primes_in(lo, hi)
+
+
+def test_only_primes_in_builds_the_prime_index():
+    table = sieve(1000)
+    assert table._primes is None
+    table.is_prime(997)
+    table.count(1000)
+    table.prev_prime(1000)
+    table.degree_primes(1000)
+    assert table._primes is None
+    first = table.primes_in(2, 100)
+    index = table._primes
+    assert index is not None and len(index) == 168
+    assert table.primes_in(2, 100) == first
+    assert table._primes is index
+    # each call returns a new list, so a caller that extends one, as the
+    # sweeps do with their closing sentinel, leaves the next call alone
+    first.append(999)
+    assert table.primes_in(2, 100) == first[:-1]
+
+
+@pytest.mark.parametrize("limit", [10**6, (1 << 21) + 13])
+def test_prime_index_matches_bytewise_oracle(limit):
+    table = sieve(limit)
+    flags = bytewise_primes(limit)
+
+    def expected(lo, hi):
+        lo = max(lo, 0)
+        return list(compress(range(lo, hi + 1), flags[lo : hi + 1]))
+
+    assert table.primes_in(-3, limit) == expected(0, limit)
+    rng = random.Random(limit)
+    windows = [sorted(rng.choices(range(-3, limit + 1), k=2)) for _ in range(40)]
+    windows += [(lo, lo + rng.randrange(3000)) for lo in rng.choices(range(-3, limit - 3000), k=260)]
+    # the 2^20-entry segment starts, each approached from both sides
+    edges = range(1 << 20, limit + 1, 1 << 20)
+    windows += [(edge + a, edge + b) for edge in edges for a in (-9, -8, -1, 0, 1) for b in (-1, 0, 1, 7, 8, 9)]
+    for lo, hi in windows:
+        assert table.primes_in(lo, hi) == expected(lo, hi), (lo, hi)
+
+
+def test_grown_shared_table_builds_its_own_prime_index(monkeypatch):
+    monkeypatch.setattr(primes, "_shared", None)
+    small = shared_table(100)
+    assert small.primes_in(2**16 - 100, 2**16) == sieve(2**16).primes_in(2**16 - 100, 2**16)
+    grown = shared_table(200_003)
+    assert grown is not small and grown._primes is None
+    fresh = sieve(grown.limit)
+    assert grown.primes_in(2**16 - 100, grown.limit) == fresh.primes_in(2**16 - 100, grown.limit)
+    assert len(grown._primes) == fresh.count(grown.limit) > len(small._primes) == small.count(small.limit)
+
+
+def test_prime_index_past_2_to_the_32_holds_8_byte_entries():
+    # a limit of 2^33 would need a 1 GiB table, so this table's bits cover
+    # only [0, 100]; primes_in reads no byte past them
+    table = primes.PrimalityTable(2**33, bytearray(sieve(100)._bits))
+    found = table.primes_in(50, 2**33)
+    assert table._primes.typecode == "Q"
+    assert found == [53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+    assert {type(p) for p in found} == {int}
+    assert table.primes_in(0, 100) == sieve(100).primes_in(0, 100)
 
 
 def test_count_prefix_edges():

@@ -4,7 +4,7 @@ from collections import Counter
 from pathlib import Path
 
 import class_spectrum
-from class_spectrum import GroupKind, cli
+from class_spectrum import GroupKind, cli, primes, scan_range
 
 SOURCES = sorted(Path(class_spectrum.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
@@ -267,6 +267,32 @@ def test_bound_formulas_have_one_home():
     }
     sweep = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "chebyshev_sweep")
     assert "is_prime" not in set(_loaded_names(sweep))
+
+
+def test_only_primes_in_reads_the_prime_index():
+    # a scan answers its prime queries by is_prime, count, prev_prime and
+    # degree_primes; were one of them to read the prime index, every scan
+    # pass would build it, and pay its time and memory for nothing
+    found = {}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Attribute) and node.attr == "_primes":
+            found.setdefault(type(node.ctx).__name__, set()).add(f"{name} {owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for name, tree in TREES.items():
+        visit(tree, None)
+    assert found == {"Load": {"primes.py primes_in"}, "Store": {"primes.py __init__", "primes.py primes_in"}}
+
+
+def test_a_scan_leaves_the_prime_index_unbuilt(monkeypatch):
+    monkeypatch.setattr(primes, "_shared", None)
+    report = scan_range(23, 200)
+    assert report.certificates and primes._shared.limit >= 200
+    assert primes._shared._primes is None
 
 
 def test_all_names_exactly_the_imported_names():
