@@ -6,12 +6,10 @@ set exactly when k is prime. The primes up to sqrt(limit) that cross off
 the windows come from a smaller ``sieve`` of that square root, so there is
 one sieve. Each window is crossed off one byte per integer and then packed
 8 KiB at a time by C-level bytes and int operations, so no Python step
-is taken per integer. ``primes_in`` slices a prime index, an array of
-every prime <= limit, between two bisects; the index is built on its
-first call from the set bits of each non-zero byte, read from a 256-entry
-offset table. ``count`` reads pi(x) from a rank index of cumulative
-popcounts, one per 1 KiB of the table, built on its first call, so it
-costs the same at every x.
+is taken per integer. ``is_prime`` reads a bit; ``count``, ``prev_prime``,
+``primes_in`` and ``degree_primes`` bisect one prime index, an array of
+every prime <= limit, built on the first of them from the set bits of
+each non-zero byte, read from a 256-entry offset table.
 
 ``chebyshev_sweep`` walks prime gaps: it reads the primes of its interval
 once, and pi(x) and the largest prime <= x stay fixed across each gap.
@@ -33,7 +31,6 @@ import math
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import DomainError, InvariantError
@@ -44,8 +41,6 @@ PACK_SLICE = 1 << 13
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # _BIT_OFFSETS[b]: the positions 0..7 of the set bits of byte b, ascending
 _BIT_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
-# count's rank index holds one cumulative popcount per this many bytes (8192 integers)
-RANK_BLOCK_SHIFT = 10
 
 # diagnostic constants: claimed pi(x) envelope 0.921 x/ln x < pi(x) < 1.106 x/ln x
 CHEBYSHEV_LOWER = 0.921
@@ -59,25 +54,35 @@ REL_MARGIN = 1e-9
 class PrimalityTable:
     """Bit-packed exact primality for every integer in [0, limit].
 
-    ``_rank`` is ``count``'s rank index, built on the first ``count``:
-    ``_rank[i]`` is the number of set bits in the first ``i`` 1 KiB blocks
-    of ``_bits``. ``_primes`` is ``primes_in``'s prime index, built on the
-    first ``primes_in``: an array of every prime <= limit, ascending, at 4
-    bytes per prime below 2^32 (314 KB at 10^6 and about 23 MB at 10^8,
-    beside a bit table of 125 KB and 12.5 MB). No other method reads it,
-    so a table that only answers ``is_prime``, ``count``, ``prev_prime``
-    and ``degree_primes`` never builds it. The bits never change after
-    construction, so neither do the indexes; a larger table is a new
-    table with its own.
+    ``is_prime`` reads the bits; every other query reads ``_primes``, the
+    prime index: an array of every prime <= limit, ascending, at 4 bytes
+    per prime below 2^32 (314 KB at 10^6 and about 23 MB at 10^8, beside a
+    bit table of 125 KB and 12.5 MB). ``_index`` builds it on the first
+    such query, so that query pays for a walk of the whole table. The bits
+    never change after construction, so neither does the index; a larger
+    table is a new table with its own.
     """
 
-    __slots__ = ("limit", "_bits", "_rank", "_primes")
+    __slots__ = ("limit", "_bits", "_primes")
 
     def __init__(self, limit: int, bits: bytearray):
         self.limit = limit
         self._bits = bits
-        self._rank: list[int] | None = None
         self._primes: array | None = None
+
+    def _index(self, x: int) -> array:
+        """The prime index, for a query that reads the table up to x.
+
+        The first call builds it from the set bits of each non-zero byte j,
+        which contribute 8j + i for the offsets i of those bits. An x past
+        the limit raises DomainError naming x.
+        """
+        if x > self.limit:
+            raise DomainError(f"{x} outside sieve range [0, {self.limit}]")
+        if self._primes is None:
+            found = ((j << 3) + i for j, byte in enumerate(self._bits) if byte for i in _BIT_OFFSETS[byte])
+            self._primes = array("I" if self.limit < 1 << 32 else "Q", found)
+        return self._primes
 
     def is_prime(self, k: int) -> bool:
         if k < 0 or k > self.limit:
@@ -85,71 +90,41 @@ class PrimalityTable:
         return bool(self._bits[k >> 3] & (1 << (k & 7)))
 
     def count(self, x: int) -> int:
-        """pi(x): number of primes <= x, in time independent of x.
-
-        The rank index gives the primes below the 1 KiB block that holds x;
-        a popcount of at most 1 KiB of that block and one partial byte add
-        the rest.
-        """
-        if x < 0:
-            return 0
-        if x > self.limit:
-            raise DomainError(f"{x} outside sieve range [0, {self.limit}]")
-        bits = self._bits
-        if self._rank is None:
-            step = 1 << RANK_BLOCK_SHIFT
-            blocks = (int.from_bytes(bits[at : at + step], "little").bit_count() for at in range(0, len(bits), step))
-            self._rank = list(accumulate(blocks, initial=0))
-        full, rem = divmod(x + 1, 8)
-        block = full >> RANK_BLOCK_SHIFT
-        total = self._rank[block] + int.from_bytes(bits[block << RANK_BLOCK_SHIFT : full], "little").bit_count()
-        if rem:
-            total += (bits[full] & ((1 << rem) - 1)).bit_count()
-        return total
+        """pi(x): number of primes <= x, one bisect of the prime index; 0 for x < 0."""
+        return bisect_right(self._index(x), x)
 
     def primes_in(self, lo: int, hi: int) -> list[int]:
-        """All primes in [lo, hi], ascending, as a new list.
+        """All primes in [lo, hi], ascending: the prime index sliced between two bisects.
 
-        The first call builds the prime index from the set bits of each
-        non-zero byte j, which contribute 8j + i for the offsets i of those
-        bits; every call then slices it between two bisects. The slice is
-        a fresh list, so a caller may extend it.
+        The slice is a fresh list, so a caller may extend it.
         """
-        if hi > self.limit:
-            raise DomainError(f"{hi} outside sieve range [0, {self.limit}]")
-        primes = self._primes
-        if primes is None:
-            found = ((j << 3) + i for j, byte in enumerate(self._bits) if byte for i in _BIT_OFFSETS[byte])
-            primes = self._primes = array("I" if self.limit < 1 << 32 else "Q", found)
+        primes = self._index(hi)
         return primes[bisect_left(primes, lo) : bisect_right(primes, hi)].tolist()
 
     def prev_prime(self, x: int) -> int | None:
         """Largest prime <= x, or None when x < 2."""
-        if x > self.limit:
-            raise DomainError(f"{x} outside sieve range [0, {self.limit}]")
-        k = x
-        while k >= 2:
-            if self._bits[k >> 3] & (1 << (k & 7)):
-                return k
-            k -= 1
-        return None
+        primes = self._index(x)
+        k = bisect_right(primes, x)
+        return primes[k - 1] if k else None
 
     def degree_primes(self, n: int) -> tuple[int, int | None, int]:
-        """(p, r, |Omega(n)|) for degree n >= 2.
+        """(p, r, |Omega(n)|) for degree n >= 2, from two bisects of the prime index.
 
-        p is the largest prime <= n and |Omega(n)| the number of primes in
-        (n/2, n]. r is the largest prime <= n // 2, kept only when
-        2r > p + 1, and None otherwise; for prime n, 2r <= n = p, so there
-        is no r. So r maximizes 2r under p + 1 < 2r <= n, which minimizes
-        the r-trick's residual support n - 2r.
+        The first k primes are those <= n and the first h those <= n // 2.
+        p is the largest prime <= n and |Omega(n)| = k - h the number of
+        primes in (n/2, n]. r is the largest prime <= n // 2, kept only
+        when 2r > p + 1, and None otherwise; for prime n, 2r <= n = p, so
+        there is no r. So r maximizes 2r under p + 1 < 2r <= n, which
+        minimizes the r-trick's residual support n - 2r.
         """
         if n < 2:
             raise DomainError(f"degree_primes() needs n >= 2, got {n}")
-        p = self.prev_prime(n)
-        r = self.prev_prime(n // 2)
-        if r is not None and 2 * r <= p + 1:
-            r = None
-        return p, r, self.count(n) - self.count(n // 2)
+        primes = self._index(n)
+        k = bisect_right(primes, n)
+        h = bisect_right(primes, n // 2)
+        p = primes[k - 1]
+        r = primes[h - 1] if h and 2 * primes[h - 1] > p + 1 else None
+        return p, r, k - h
 
 
 def sieve(limit: int) -> PrimalityTable:

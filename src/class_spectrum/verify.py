@@ -474,10 +474,12 @@ def scan_range(
     """Run check_case over [start, stop] x kinds, optionally in parallel.
 
     Before any fork, the caller sieves the shared primality table to
-    ``stop`` and builds the core-state layers of ``classes._core_layers``
-    once, to the largest residual support n - t* of any candidate built in
-    the range, read from the same ``_candidates`` plans ``check_case``
-    follows, so every process reads the same layers. Each process grows the
+    ``stop`` and reads the ``_candidates`` plan of every degree in the
+    range, whose first ``degree_primes`` query builds the table's prime
+    index. From those plans, which ``check_case`` follows too, it builds
+    the core-state layers of ``classes._core_layers`` once, to the largest
+    residual support n - t* of any candidate built in the range, so every
+    process reads the same table, index and layers. Each process grows the
     per-support chain heights lazily, as its own check_case calls first
     need them; it walks partitions (``classes._fpf_cores``) only up to the
     support of the last witness type it annotates. The pool never holds

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from itertools import accumulate, compress
+from operator import methodcaller
 
 import pytest
 from hypothesis import given, settings
@@ -108,19 +109,27 @@ def test_primes_in_above_limit_raises(lo, hi):
         SMALL_TABLE.primes_in(lo, hi)
 
 
-def test_only_primes_in_builds_the_prime_index():
+INDEX_QUERIES = [
+    methodcaller("count", 1000),
+    methodcaller("prev_prime", 1000),
+    methodcaller("degree_primes", 1000),
+    methodcaller("primes_in", 2, 100),
+]
+
+
+def test_the_first_index_query_builds_the_prime_index():
     table = sieve(1000)
-    assert table._primes is None
     table.is_prime(997)
-    table.count(1000)
-    table.prev_prime(1000)
-    table.degree_primes(1000)
     assert table._primes is None
+    for first_query in INDEX_QUERIES:
+        table = sieve(1000)
+        first_query(table)
+        index = table._primes
+        assert index is not None and len(index) == 168
+        for query in INDEX_QUERIES:
+            query(table)
+        assert table._primes is index
     first = table.primes_in(2, 100)
-    index = table._primes
-    assert index is not None and len(index) == 168
-    assert table.primes_in(2, 100) == first
-    assert table._primes is index
     # each call returns a new list, so a caller that extends one, as the
     # sweeps do with their closing sentinel, leaves the next call alone
     first.append(999)
@@ -166,7 +175,13 @@ def test_prime_index_past_2_to_the_32_holds_8_byte_entries():
     assert table._primes.typecode == "Q"
     assert found == [53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
     assert {type(p) for p in found} == {int}
-    assert table.primes_in(0, 100) == sieve(100).primes_in(0, 100)
+    small = sieve(100)
+    assert table.primes_in(0, 100) == small.primes_in(0, 100)
+    xs = range(-1, 101)
+    assert [table.count(x) for x in xs] == [small.count(x) for x in xs]
+    assert [table.prev_prime(x) for x in xs] == [small.prev_prime(x) for x in xs]
+    degrees = range(2, 101)
+    assert [table.degree_primes(n) for n in degrees] == [small.degree_primes(n) for n in degrees]
 
 
 def test_count_prefix_edges():
@@ -180,16 +195,15 @@ def test_count_prefix_edges():
         table.count(51)
 
 
-# one rank-index block of count covers 1 KiB of the table, 8192 integers
+# 1 KiB of the bit table covers 8192 integers
 RANK_SPAN = 8192
 
 
 @pytest.mark.parametrize("limit", [0, 1, 7, 8, 2 * RANK_SPAN - 1, 3 * RANK_SPAN + 37])
 def test_count_matches_bytewise_prefix_sums(limit):
-    # every x of a table that spans several rank blocks, ends mid-block or
+    # every x of a table that spans several 1 KiB blocks, ends mid-block or
     # exactly on a block boundary
     table = sieve(limit)
-    assert table._rank is None
     expected = list(accumulate(bytewise_primes(limit)))
     assert [table.count(x) for x in range(-1, limit + 1)] == [0] + expected
 
@@ -203,7 +217,7 @@ def test_count_at_rank_block_edges():
 
 
 def test_grown_shared_table_counts_like_a_fresh_sieve(monkeypatch):
-    # the grown table is a new table, so its rank index covers its own bits
+    # the grown table is a new table, so its prime index covers its own bits
     monkeypatch.setattr(primes, "_shared", None)
     small = shared_table(100)
     assert small.count(2**16) == sieve(2**16).count(2**16)
@@ -222,8 +236,39 @@ def test_prev_prime():
     assert table.prev_prime(1) is None
 
 
+def _oracle_prev_primes(flags):
+    # the largest prime <= x, or None, for every x in [0, len(flags) - 1]
+    prev, last = [], None
+    for x, flag in enumerate(flags):
+        if flag:
+            last = x
+        prev.append(last)
+    return prev
+
+
+def test_prev_prime_matches_bytewise_oracle():
+    limit = 3 * RANK_SPAN + 37
+    table = sieve(limit)
+    expected = _oracle_prev_primes(bytewise_primes(limit))
+    assert [table.prev_prime(x) for x in range(-1, limit + 1)] == [None] + expected
+    with pytest.raises(DomainError, match=f"^{limit + 1} outside sieve range"):
+        table.prev_prime(limit + 1)
+
+
+def test_prev_prime_at_segment_edges():
+    limit = (1 << 21) + 13
+    table = sieve(limit)
+    expected = _oracle_prev_primes(bytewise_primes(limit))
+    xs = [edge + d for edge in range(1 << 20, limit + 1, 1 << 20) for d in (-9, -8, -1, 0, 1, 7, 8, 9)]
+    assert [table.prev_prime(x) for x in xs] == [expected[x] for x in xs]
+
+
+def _oracle_primes(limit):
+    return list(compress(range(limit + 1), bytewise_primes(limit)))
+
+
 def _degree_primes_from_list(primes, n):
-    # primes = table.primes_in(2, limit): p is its last prime <= n, r its last
+    # primes = _oracle_primes(limit): p is its last prime <= n, r its last
     # prime <= n // 2 (kept when 2r > p + 1), and Omega(n) the slice between
     k = bisect.bisect_right(primes, n)
     h = bisect.bisect_right(primes, n // 2)
@@ -234,7 +279,7 @@ def _degree_primes_from_list(primes, n):
 
 def test_degree_primes_matches_prime_lists():
     table = sieve(20000)
-    primes = table.primes_in(2, 20000)
+    primes = _oracle_primes(20000)
     for n in range(3, 20001):
         assert table.degree_primes(n) == _degree_primes_from_list(primes, n), n
     for n in range(3, 20001, 97):
@@ -249,7 +294,7 @@ def test_degree_primes_matches_prime_lists():
 @pytest.mark.parametrize("limit", [2, 3, 4, 6, 10, 26, 97, 100])
 def test_degree_primes_at_the_limit_of_a_small_sieve(limit):
     table = sieve(limit)
-    assert table.degree_primes(limit) == _degree_primes_from_list(table.primes_in(2, limit), limit)
+    assert table.degree_primes(limit) == _degree_primes_from_list(_oracle_primes(limit), limit)
     with pytest.raises(DomainError):
         table.degree_primes(limit + 1)
     with pytest.raises(DomainError):

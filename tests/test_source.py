@@ -4,7 +4,7 @@ from collections import Counter
 from pathlib import Path
 
 import class_spectrum
-from class_spectrum import GroupKind, cli, primes, scan_range
+from class_spectrum import GroupKind, cli, primes, scan_range, verify
 
 SOURCES = sorted(Path(class_spectrum.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
@@ -269,10 +269,9 @@ def test_bound_formulas_have_one_home():
     assert "is_prime" not in set(_loaded_names(sweep))
 
 
-def test_only_primes_in_reads_the_prime_index():
-    # a scan answers its prime queries by is_prime, count, prev_prime and
-    # degree_primes; were one of them to read the prime index, every scan
-    # pass would build it, and pay its time and memory for nothing
+def test_only_the_index_builder_touches_the_prime_index():
+    # every query reads the prime index through _index, which checks the
+    # range and builds it on first use, so no query can skip either
     found = {}
 
     def visit(node, owner):
@@ -285,14 +284,25 @@ def test_only_primes_in_reads_the_prime_index():
 
     for name, tree in TREES.items():
         visit(tree, None)
-    assert found == {"Load": {"primes.py primes_in"}, "Store": {"primes.py __init__", "primes.py primes_in"}}
+    assert found == {"Load": {"primes.py _index"}, "Store": {"primes.py __init__", "primes.py _index"}}
 
 
-def test_a_scan_leaves_the_prime_index_unbuilt(monkeypatch):
+def test_a_scan_builds_the_prime_index_before_its_first_case(monkeypatch):
+    # the _candidates pre-pass reads degree_primes, so the index is built
+    # before any check_case, and so before a pool forks its workers
     monkeypatch.setattr(primes, "_shared", None)
+    built = []
+    check_case = verify.check_case
+
+    def spy(n, kind):
+        built.append(primes._shared._primes is not None)
+        return check_case(n, kind)
+
+    monkeypatch.setattr(verify, "check_case", spy)
     report = scan_range(23, 200)
-    assert report.certificates and primes._shared.limit >= 200
-    assert primes._shared._primes is None
+    table = primes._shared
+    assert report.certificates and table.limit >= 200 and built and all(built)
+    assert len(table._primes) == table.count(table.limit)
 
 
 def test_all_names_exactly_the_imported_names():
